@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# d_kd is unused here but the perfbench/spans.py tracer still wraps catalog.d_kd
 from .distinguishability import BranchSet, d_kd
 from .errors import InvalidArgumentError, UnsupportedRangeError
 from .fock import (
@@ -26,7 +27,6 @@ from .fock import (
     subtract_photons,
     superpose,
 )
-from .measurement import DetectorModel
 
 FAMILIES = ("css", "psv", "dfs")
 
@@ -40,11 +40,10 @@ class TwoBranchState:
     psi_minus: FockVector
     family: str
     params: dict
-    recommended_homodyne_angle: float
 
 
-def _two_branch(b1: FockVector, b2: FockVector, family: str, params: dict,
-                angle: float) -> TwoBranchState:
+def _two_branch(b1: FockVector, b2: FockVector, family: str,
+                params: dict) -> TwoBranchState:
     coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return TwoBranchState(
         branch_set=BranchSet(coeffs, (b1, b2)),
@@ -52,7 +51,6 @@ def _two_branch(b1: FockVector, b2: FockVector, family: str, params: dict,
         psi_minus=superpose(b1, b2, -1),
         family=family,
         params=params,
-        recommended_homodyne_angle=angle,
     )
 
 
@@ -63,7 +61,7 @@ def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
         raise UnsupportedRangeError(f"css requires 0 < alpha <= 4, got {alpha}")
     b1 = coherent_state(alpha, tail_tolerance)
     b2 = coherent_state(-alpha, tail_tolerance)
-    return _two_branch(b1, b2, "css", {"alpha": alpha}, angle=0.0)
+    return _two_branch(b1, b2, "css", {"alpha": alpha})
 
 
 def psv(r: float, m: int = 1, tail_tolerance: float | None = None) -> TwoBranchState:
@@ -76,8 +74,9 @@ def psv(r: float, m: int = 1, tail_tolerance: float | None = None) -> TwoBranchS
     subtraction then carves two lobes along the wide x axis and the
     branches are well separated there.  (With the opposite sign the lobe
     amplitudes cancel and the branches barely separate at any angle.)
-    The recommended homodyne angle is whichever of {0, pi/2} best
-    separates the branches with an ideal detector.
+    Homodyne detection therefore reads x (phi = 0): u and v are real with
+    opposite photon parity, so at phi = pi/2 both branches share one p
+    distribution and D_KD vanishes.
     """
     r = float(r)
     if not (0.0 <= r <= 2.5):
@@ -91,25 +90,10 @@ def psv(r: float, m: int = 1, tail_tolerance: float | None = None) -> TwoBranchS
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)
     b2 = superpose(u, v, -1)
-    state = _two_branch(b1, b2, "psv", {"r": r, "m": m}, angle=0.0)
-    ideal = [
-        d_kd(state.branch_set, DetectorModel.homodyne(angle=phi))
-        for phi in (0.0, math.pi / 2.0)
-    ]
-    best = 0.0 if ideal[0] >= ideal[1] else math.pi / 2.0
-    if best != 0.0:
-        state = TwoBranchState(
-            branch_set=state.branch_set,
-            psi_plus=state.psi_plus,
-            psi_minus=state.psi_minus,
-            family=state.family,
-            params=state.params,
-            recommended_homodyne_angle=best,
-        )
-    return state
+    return _two_branch(b1, b2, "psv", {"r": r, "m": m})
 
 
-def dfs(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
+def dfs(alpha: float) -> TwoBranchState:
     """Displaced Fock superposition: branches D(alpha)(|0> +- |1>)/sqrt(2)."""
     alpha = float(alpha)
     if not (0.0 <= alpha <= 4.0):
@@ -118,15 +102,15 @@ def dfs(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
     one = fock_state(1, 4)
     b1 = displace(superpose(vac, one, +1), alpha)
     b2 = displace(superpose(vac, one, -1), alpha)
-    return _two_branch(b1, b2, "dfs", {"alpha": alpha}, angle=0.0)
+    return _two_branch(b1, b2, "dfs", {"alpha": alpha})
 
 
-def build(family: str, tail_tolerance: float | None = None, **params) -> TwoBranchState:
+def build(family: str, **params) -> TwoBranchState:
     """Construct a catalog state by family name (CLI entry point)."""
     if family == "css":
-        return css(params["alpha"], tail_tolerance)
+        return css(params["alpha"])
     if family == "psv":
-        return psv(params["r"], params.get("m", 1), tail_tolerance)
+        return psv(params["r"], params.get("m", 1))
     if family == "dfs":
-        return dfs(params["alpha"], tail_tolerance)
+        return dfs(params["alpha"])
     raise InvalidArgumentError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -6,6 +6,8 @@
                       [--sign plus|minus] [--out PATH] [--format csv|json]
     macrolens sweep --config FILE [--out PATH]
 
+The homodyne angle PHI defaults to 0, the x quadrature.
+
 All domain errors exit with status 1 and a single-line diagnostic of the
 form ``macrolens-error code=<kind> detail=<message>`` on stderr.
 """
@@ -52,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--m", type=int, default=1)
     comp.add_argument("--detector", required=True, choices=("homodyne", "pnrd"))
     comp.add_argument("--angle", type=float, default=None,
-                      help="homodyne angle (default: family's recommended angle)")
+                      help="homodyne angle (default: 0, the x quadrature)")
     comp.add_argument("--sigma", type=float, required=True)
     comp.add_argument("--sign", choices=("plus", "minus"), default="minus",
                       help="which superposition carries the macroscopicity")

@@ -8,7 +8,6 @@ whose CSV/JSON rendering a plotting tool can consume directly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,10 +128,10 @@ _SWEEP_KEYS = {
     "stop": float,
     "steps": int,
     "detector": str,
-    "sigma": str,
+    "sigma": lambda text: tuple(float(v) for v in text.split(",")),
     "angle": float,
     "m": int,
-    "measures": str,
+    "measures": lambda text: tuple(v.strip() for v in text.split(",")),
     "out": str,
     "format": str,
 }
@@ -156,26 +155,25 @@ def parse_sweep_config(text: str) -> SweepSpec:
             raise InvalidArgumentError(f"unknown config key {key!r} (line {lineno})")
         if key in raw:
             raise InvalidArgumentError(f"duplicate config key {key!r} (line {lineno})")
-        raw[key] = _SWEEP_KEYS[key](value)
+        try:
+            raw[key] = _SWEEP_KEYS[key](value)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"bad value {value!r} for config key {key!r} (line {lineno})"
+            ) from None
     for required in ("family", "start", "stop", "steps", "detector", "sigma"):
         if required not in raw:
             raise InvalidArgumentError(f"config is missing the {required!r} key")
-    sigmas = tuple(float(s) for s in raw["sigma"].split(","))
-    measures = (
-        tuple(m.strip() for m in raw["measures"].split(","))
-        if "measures" in raw
-        else ALL_MEASURES
-    )
     return SweepSpec(
         family=raw["family"],
         start=raw["start"],
         stop=raw["stop"],
         steps=raw["steps"],
         detector=raw["detector"],
-        sigmas=sigmas,
+        sigmas=raw["sigma"],
         angle=raw.get("angle"),
         m=raw.get("m", 1),
-        measures=measures,
+        measures=raw.get("measures", ALL_MEASURES),
         out=raw.get("out"),
         fmt=raw.get("format", "csv"),
     )
@@ -185,14 +183,11 @@ def _param_name(family: str) -> str:
     return "r" if family == "psv" else "alpha"
 
 
-def _detector_for(state: TwoBranchState, kind: str, sigma: float,
-                  angle: float | None) -> DetectorModel:
-    if kind == "homodyne":
-        phi = state.recommended_homodyne_angle if angle is None else angle
-        return DetectorModel.homodyne(angle=phi, sigma=sigma)
+def _detector(kind: str, sigma: float, angle: float | None = None) -> DetectorModel:
+    """Detector of the given kind; homodyne reads x (phi = 0) unless told."""
     if kind == "pnrd":
         return DetectorModel.pnrd(sigma=sigma)
-    raise InvalidArgumentError(f"unknown detector kind {kind!r}")
+    return DetectorModel(kind, angle=0.0 if angle is None else angle, sigma=sigma)
 
 
 def _base_metadata(**extra) -> dict:
@@ -209,11 +204,42 @@ def _max_cutoff(state: TwoBranchState) -> int:
     )
 
 
+@dataclass(frozen=True)
+class _Point:
+    """Numbers of one catalog state: N and <n> per sign (plus, minus) and
+    (D_BC, D_KD) per detector."""
+
+    value: float
+    n_fluct: tuple
+    mean_n: tuple
+    d_by_detector: dict
+    cutoff: int
+
+
+def _evaluate(family: str, values, detectors, m: int = 1) -> list:
+    """Build each state of ``family`` once per parameter value and measure it
+    once per detector; every sweep and figure 2-8 table is a layout of these."""
+    points = []
+    for value in values:
+        kwargs = {"m": m} if family == "psv" else {}
+        kwargs[_param_name(family)] = float(value)
+        state = build(family, **kwargs)
+        psis = (state.psi_plus, state.psi_minus)
+        points.append(_Point(
+            value=float(value),
+            n_fluct=tuple(n_fluct(psi) for psi in psis),
+            mean_n=tuple(moments(psi).mean_n for psi in psis),
+            d_by_detector={det: both_measures(state.branch_set, det) for det in detectors},
+            cutoff=_max_cutoff(state),
+        ))
+    return points
+
+
 def compute(family: str, params: dict, detector: str, sigma: float,
             angle: float | None = None, sign: int = -1) -> ResultTable:
     """One MacroReport rendered as a single table row."""
     state = build(family, **params)
-    det = _detector_for(state, detector, sigma, angle)
+    det = _detector(detector, sigma, angle)
     rep = report(state, sign, det)
     param = state.params[_param_name(family)]
     columns = [
@@ -232,45 +258,33 @@ def compute(family: str, params: dict, detector: str, sigma: float,
 
 def sweep(spec: SweepSpec) -> ResultTable:
     """Cartesian product of parameter x sigma rows, ascending in both."""
-    params = np.linspace(spec.start, spec.stop, spec.steps)
     columns = [_param_name(spec.family), "sigma"]
     for measure in spec.measures:
         if measure in ("d_bc", "d_kd"):
             columns.append(measure)
         else:
             columns.extend([f"{measure}_plus", f"{measure}_minus"])
+    detectors = [_detector(spec.detector, s, spec.angle) for s in spec.sigmas]
+    points = _evaluate(
+        spec.family, np.linspace(spec.start, spec.stop, spec.steps), detectors, spec.m
+    )
     rows = []
-    max_cutoff = 0
-    for value in params:
-        kwargs = {"m": spec.m} if spec.family == "psv" else {}
-        kwargs[_param_name(spec.family)] = float(value)
-        state = build(spec.family, **kwargs)
-        max_cutoff = max(max_cutoff, _max_cutoff(state))
-        n_plus = n_fluct(state.psi_plus)
-        n_minus = n_fluct(state.psi_minus)
-        mean_plus = moments(state.psi_plus).mean_n
-        mean_minus = moments(state.psi_minus).mean_n
-        for sigma in spec.sigmas:
-            det = _detector_for(state, spec.detector, sigma, spec.angle)
-            dist_bc, dist_kd = both_measures(state.branch_set, det)
+    for p in points:
+        for det in detectors:
+            dist_bc, dist_kd = p.d_by_detector[det]
             values = {
-                "n_fluct": (n_plus, n_minus),
-                "mean_n": (mean_plus, mean_minus),
-                "d_bc": dist_bc,
-                "d_kd": dist_kd,
-                "m_bc": (n_plus * dist_bc, n_minus * dist_bc),
-                "m_kd": (n_plus * dist_kd, n_minus * dist_kd),
+                "n_fluct": p.n_fluct,
+                "mean_n": p.mean_n,
+                "d_bc": (dist_bc,),
+                "d_kd": (dist_kd,),
+                "m_bc": tuple(n * dist_bc for n in p.n_fluct),
+                "m_kd": tuple(n * dist_kd for n in p.n_fluct),
             }
-            row = [float(value), sigma]
-            for measure in spec.measures:
-                v = values[measure]
-                row.extend(v if isinstance(v, tuple) else [v])
-            rows.append(row)
+            rows.append([p.value, det.sigma, *(v for m in spec.measures for v in values[m])])
     meta = _base_metadata(
         family=spec.family,
         detector=spec.detector,
-        max_cutoff=max_cutoff,
-        grid_points=2048,
+        max_cutoff=max(p.cutoff for p in points),
     )
     if spec.family == "psv":
         meta["m"] = spec.m
@@ -304,34 +318,28 @@ def _figure_wigner(steps: int) -> ResultTable:
 
 def _figure_family(family: str, start: float, stop: float, steps: int) -> ResultTable:
     """N(psi_pm) and ideal-detector distinguishabilities vs the family parameter."""
+    homodyne, pnrd = DetectorModel.homodyne(), DetectorModel.pnrd()
+    points = _evaluate(family, np.linspace(start, stop, steps), (homodyne, pnrd))
     param = _param_name(family)
-    columns = [param, "n_plus", "n_minus", "d_bc", "d_kd", "d_pnrd"]
     if family == "dfs":
         columns = [
             param, "n_plus", "n_minus",
             "d_bc_homodyne", "d_kd_homodyne",
             "d_bc_pnrd", "d_kd_pnrd", "d_kd_closed_form",
         ]
-    rows = []
-    max_cutoff = 0
-    for value in np.linspace(start, stop, steps):
-        state = build(family, **{param: float(value)})
-        max_cutoff = max(max_cutoff, _max_cutoff(state))
-        homodyne = _detector_for(state, "homodyne", 0.0, None)
-        dist_bc, dist_kd = both_measures(state.branch_set, homodyne)
-        pnrd_bc, pnrd_kd = both_measures(state.branch_set, DetectorModel.pnrd())
-        n_plus = n_fluct(state.psi_plus)
-        n_minus = n_fluct(state.psi_minus)
-        if family == "dfs":
-            closed = dfs_kd_closed_form(float(value)) if value > 0 else 0.0
-            rows.append([
-                float(value), n_plus, n_minus,
-                dist_bc, dist_kd, pnrd_bc, pnrd_kd, closed,
-            ])
-        else:
-            rows.append([float(value), n_plus, n_minus, dist_bc, dist_kd, pnrd_kd])
+        rows = [
+            [p.value, *p.n_fluct, *p.d_by_detector[homodyne], *p.d_by_detector[pnrd],
+             dfs_kd_closed_form(p.value) if p.value > 0 else 0.0]
+            for p in points
+        ]
+    else:
+        columns = [param, "n_plus", "n_minus", "d_bc", "d_kd", "d_pnrd"]
+        rows = [
+            [p.value, *p.n_fluct, *p.d_by_detector[homodyne], p.d_by_detector[pnrd][1]]
+            for p in points
+        ]
     meta = _base_metadata(
-        figure=family, family=family, max_cutoff=max_cutoff, grid_points=2048
+        figure=family, family=family, max_cutoff=max(p.cutoff for p in points)
     )
     return ResultTable(columns, rows, meta)
 
@@ -346,27 +354,24 @@ _NOISE_PARAMS = {
 def _figure_noise(family: str, steps: int) -> ResultTable:
     """Kolmogorov distinguishability vs detector resolution sigma."""
     param, values = _NOISE_PARAMS[family]
-    sigmas = np.linspace(0.0, 4.0, steps)
-    detectors = ("homodyne", "pnrd") if family == "dfs" else ("homodyne",)
+    sigmas = [float(s) for s in np.linspace(0.0, 4.0, steps)]
+    kinds = ("homodyne", "pnrd") if family == "dfs" else ("homodyne",)
     columns = ["sigma"]
     for v in values:
-        for kind in detectors:
-            suffix = f"_{kind}" if len(detectors) > 1 else ""
+        for kind in kinds:
+            suffix = f"_{kind}" if len(kinds) > 1 else ""
             columns.append(f"d_kd{suffix}_{param}_{_fmt(v)}")
-    states = [build(family, **{param: v}) for v in values]
+    points = _evaluate(
+        family, values, [_detector(kind, s) for s in sigmas for kind in kinds]
+    )
     rows = []
     for sigma in sigmas:
-        row = [float(sigma)]
-        for state in states:
-            for kind in detectors:
-                det = _detector_for(state, kind, float(sigma), None)
-                row.append(both_measures(state.branch_set, det)[1])
-        rows.append(row)
+        dets = [_detector(kind, sigma) for kind in kinds]
+        rows.append([sigma, *(p.d_by_detector[det][1] for p in points for det in dets)])
     meta = _base_metadata(
         figure=f"noise-{family}",
         family=family,
-        max_cutoff=max(_max_cutoff(s) for s in states),
-        grid_points=2048,
+        max_cutoff=max(p.cutoff for p in points),
         sigma_note="sigma is in detector-native units; homodyne and pnrd axes are not comparable",
     )
     return ResultTable(columns, rows, meta)
@@ -385,29 +390,24 @@ def _figure_summary(steps: int) -> ResultTable:
         "family", "sign", "detector", "sigma", "param",
         "mean_n", "n_fluct", "d_kd", "m_kd",
     ]
+    detectors = [_detector(kind, s) for kind in ("homodyne", "pnrd") for s in (0.0, 2.0)]
     rows = []
     max_cutoff = 0
     for family in FAMILIES:
-        param = _param_name(family)
         start, stop = _SUMMARY_RANGES[family]
-        values = np.linspace(start, stop, steps)
-        states = [build(family, **{param: float(v)}) for v in values]
-        max_cutoff = max(max_cutoff, *(_max_cutoff(s) for s in states))
-        for kind in ("homodyne", "pnrd"):
-            for sigma in (0.0, 2.0):
-                for value, state in zip(values, states):
-                    det = _detector_for(state, kind, sigma, None)
-                    dist_kd = both_measures(state.branch_set, det)[1]
-                    for sign, psi in (("+", state.psi_plus), ("-", state.psi_minus)):
-                        n = n_fluct(psi)
-                        rows.append([
-                            family, sign, kind, sigma, float(value),
-                            moments(psi).mean_n, n, dist_kd, n * dist_kd,
-                        ])
+        points = _evaluate(family, np.linspace(start, stop, steps), detectors)
+        max_cutoff = max(max_cutoff, *(p.cutoff for p in points))
+        for det in detectors:
+            for p in points:
+                dist_kd = p.d_by_detector[det][1]
+                for sign, n, mean_n in zip("+-", p.n_fluct, p.mean_n):
+                    rows.append([
+                        family, sign, det.kind, det.sigma, p.value,
+                        mean_n, n, dist_kd, n * dist_kd,
+                    ])
     meta = _base_metadata(
         figure="summary",
         max_cutoff=max_cutoff,
-        grid_points=2048,
         sigma_note="sigma is in detector-native units; homodyne and pnrd axes are not comparable",
     )
     return ResultTable(columns, rows, meta)

@@ -34,7 +34,10 @@ _NORM_TOL = 1e-8
 def tail_tolerance_default() -> float:
     """Default truncation tolerance; MACROLENS_TAIL_TOL overrides it."""
     env = os.environ.get("MACROLENS_TAIL_TOL")
-    return float(env) if env else DEFAULT_TAIL_TOLERANCE
+    try:
+        return float(env) if env else DEFAULT_TAIL_TOLERANCE
+    except ValueError:
+        raise InvalidArgumentError(f"MACROLENS_TAIL_TOL={env!r} is not a number") from None
 
 
 _CUTOFF_SCALE = contextvars.ContextVar("macrolens_cutoff_scale", default=1)
@@ -57,7 +60,10 @@ def scaled_cutoffs(factor: int):
         _CUTOFF_SCALE.reset(token)
 
 
-def _check_tail_tolerance(tol: float) -> float:
+def _check_tail_tolerance(tol: float | None) -> float:
+    """The given tolerance, or the default when None, checked for range."""
+    if tol is None:
+        tol = tail_tolerance_default()
     if not (0.0 < tol <= 1e-6):
         raise InvalidArgumentError(f"tail_tolerance must be in (0, 1e-6], got {tol}")
     return tol
@@ -162,7 +168,7 @@ class Ensemble:
 
 def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
     """Coherent state |alpha> with amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    tol = _check_tail_tolerance(tail_tolerance or tail_tolerance_default())
+    tol = _check_tail_tolerance(tail_tolerance)
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidArgumentError("alpha must be finite")
@@ -196,7 +202,7 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
     r > 0 squeezes the x quadrature: var(x) = e^{-2r}/2, var(p) = e^{2r}/2.
     Only even photon numbers are populated.
     """
-    tol = _check_tail_tolerance(tail_tolerance or tail_tolerance_default())
+    tol = _check_tail_tolerance(tail_tolerance)
     r = float(r)
     if not math.isfinite(r):
         raise InvalidArgumentError("r must be finite")

@@ -251,8 +251,7 @@ def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
     )
 
 
-def blur_pmf(pmf: Pmf, sigma: float, n_points: int | None = None,
-             n_max: int | None = None) -> Pdf:
+def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
     """Continuous distribution from a Pmf read out with Gaussian noise.
 
     The result lives on lambda in [-6 sigma, n_max + 6 sigma] and is a
@@ -272,16 +271,19 @@ def blur_pmf(pmf: Pmf, sigma: float, n_points: int | None = None,
     # points and agree to the tail mass beyond 6 sigma.
     lo = -6.0 * sigma
     top = int(significant[-1]) if n_max is None else int(n_max)
-    hi = top + 6.0 * sigma
-    if n_points is None:
-        step = sigma / 16.0
-        n_points = int(math.ceil((hi - lo) / step)) + 1
-        hi = lo + (n_points - 1) * step
+    step = sigma / 16.0
+    n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
+    hi = lo + (n_points - 1) * step
     xs = np.linspace(lo, hi, n_points)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     values = np.zeros(n_points)
+    # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
+    # beyond that it is below e^-40.5 of its peak.
+    band = 144
     for n in significant:
-        values += probs[n] * norm * np.exp(-0.5 * ((xs - n) / sigma) ** 2)
+        centre = round((n - lo) / step)
+        window = slice(max(0, centre - band), centre + band + 1)
+        values[window] += probs[n] * norm * np.exp(-0.5 * ((xs[window] - n) / sigma) ** 2)
     return Pdf(lo, hi, n_points, values)
 
 

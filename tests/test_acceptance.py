@@ -114,7 +114,7 @@ def _c6():
         out[f"psv_nplus_{r}"] = n_fluct(psv(r).psi_plus)
     for r in (1.0, 2.5):
         state = psv(r)
-        det = DetectorModel.homodyne(angle=state.recommended_homodyne_angle)
+        det = DetectorModel.homodyne()
         out[f"psv_dkd_{r}"] = d_kd(state.branch_set, det)
     return out
 
@@ -134,9 +134,7 @@ def _c7():
         state = build(family, **{key: param})
         for sigma in (0.0, 0.5, 1.0, 2.0, 4.0):
             if kind == "homodyne":
-                det = DetectorModel.homodyne(
-                    angle=state.recommended_homodyne_angle, sigma=sigma
-                )
+                det = DetectorModel.homodyne(sigma=sigma)
             else:
                 det = DetectorModel.pnrd(sigma=sigma)
             tag = f"{family}_{param}_{kind}_s{sigma}"

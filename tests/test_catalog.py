@@ -33,7 +33,6 @@ class TestCss:
         assert b2.fidelity(coherent_state(-1.5)) > 1 - 1e-12
         assert state.family == "css"
         assert state.params == {"alpha": 1.5}
-        assert state.recommended_homodyne_angle == 0.0
 
     def test_superpositions_orthogonal(self):
         state = css(1.0)
@@ -77,15 +76,23 @@ class TestPsv:
         assert abs(b1.overlap(b2)) < 1e-8
 
     def test_distinguishability_decreases_slowly(self):
-        det_lo = DetectorModel.homodyne(angle=psv(0.5).recommended_homodyne_angle)
-        vals = {r: d_kd(psv(r).branch_set, DetectorModel.homodyne(
-            angle=psv(r).recommended_homodyne_angle)) for r in (0.5, 1.5, 2.5)}
+        vals = {r: d_kd(psv(r).branch_set, DetectorModel.homodyne())
+                for r in (0.5, 1.5, 2.5)}
         assert vals[0.5] > 0.9
         assert vals[0.5] > vals[1.5] > vals[2.5] > 0.9
 
     def test_degenerate_at_zero(self):
         with pytest.raises(DegenerateSubtractionError):
             psv(0.0)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("r", (0.05, 0.5, 1.0, 2.5))
+    def test_x_quadrature_separates_branches(self, r, m):
+        # the branches (u +- v)/sqrt(2) are real with opposite-parity parts,
+        # so they share one p distribution: phi = 0 is the homodyne angle
+        branches = psv(r, m).branch_set
+        assert d_kd(branches, DetectorModel.homodyne(angle=math.pi / 2)) <= 1e-12
+        assert d_kd(branches, DetectorModel.homodyne()) > 0.8
 
     def test_range_and_m(self):
         with pytest.raises(UnsupportedRangeError):

@@ -5,11 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrolens.cli import main
-from macrolens.errors import InvalidArgumentError
+from macrolens.errors import InvalidArgumentError, MacrolensError
 from macrolens.figures import (
     ALL_MEASURES,
+    _SWEEP_KEYS,
     ResultTable,
     SweepSpec,
     compute,
@@ -78,6 +81,18 @@ class TestSweepConfig:
         with pytest.raises(InvalidArgumentError, match="missing"):
             parse_sweep_config("family = css\n")
 
+    @given(st.dictionaries(
+        st.sampled_from(sorted(_SWEEP_KEYS)),
+        st.one_of(st.text(), st.integers(), st.floats()),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_returns_spec_or_domain_error(self, values):
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        try:
+            assert isinstance(parse_sweep_config(text), SweepSpec)
+        except MacrolensError:
+            pass
+
     def test_spec_validation(self):
         with pytest.raises(InvalidArgumentError):
             SweepSpec("css", 1.0, 0.5, 10, "homodyne", (0.0,))
@@ -100,6 +115,11 @@ class TestSweep:
             assert f"{m}_plus" in table.columns
             assert f"{m}_minus" in table.columns
         assert "d_kd" in table.columns
+
+    def test_no_grid_points_metadata(self):
+        # no one grid size holds for every detector of a sweep or figure 5
+        assert "grid_points" not in sweep(parse_sweep_config(CONFIG)).metadata
+        assert "grid_points" not in run_figure(5, steps=4).metadata
 
 
 class TestCompute:
@@ -195,6 +215,29 @@ class TestMain:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 1 + 2
 
+    @pytest.mark.parametrize("line", ("steps = abc", "sigma = 0, x"))
+    def test_bad_config_value_diagnostic(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        kept = [l for l in CONFIG.splitlines() if not l.startswith(key)]
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        rc = main(["sweep", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
+    def test_bad_tail_tolerance_env_diagnostic(self, monkeypatch, capsys):
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", "oops")
+        rc = main([
+            "compute", "--family", "css", "--alpha", "1.0",
+            "--detector", "homodyne", "--sigma", "0",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
     def test_missing_config_file(self, capsys):
         rc = main(["sweep", "--config", "/nonexistent.cfg"])
         assert rc == 1
@@ -209,8 +252,12 @@ class TestEnvTolerance:
             "print(coherent_state(2.0).tail_mass < 1e-6,"
             " coherent_state(2.0).cutoff)"
         )
+        import macrolens
+
+        src = os.path.dirname(os.path.dirname(macrolens.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
         ).stdout.split()
         loose_cutoff = int(out[1])
         assert out[0] == "True"

@@ -72,6 +72,10 @@ class TestCoherentState:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InvalidArgumentError):
             coherent_state(1.0, tail_tolerance=1e-3)
+        with pytest.raises(InvalidArgumentError):
+            coherent_state(1.0, tail_tolerance=0.0)
+        with pytest.raises(InvalidArgumentError):
+            squeezed_vacuum(0.5, tail_tolerance=0.0)
 
     @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=40, deadline=None)
