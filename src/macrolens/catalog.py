@@ -64,7 +64,7 @@ def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
     return _two_branch(b1, b2, "css", {"alpha": alpha})
 
 
-def psv(r: float, m: int = 1, tail_tolerance: float | None = None) -> TwoBranchState:
+def psv(r: float, m: int = 1) -> TwoBranchState:
     """Photon-subtracted squeezed vacuum superposition.
 
     Branches are (u +- v)/sqrt(2) with u, v the normalized m- and
@@ -84,7 +84,7 @@ def psv(r: float, m: int = 1, tail_tolerance: float | None = None) -> TwoBranchS
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
     # r = 0 is the vacuum: the subtraction below fails as degenerate
-    sv = squeezed_vacuum(-r, tail_tolerance)
+    sv = squeezed_vacuum(-r)
     u, _ = subtract_photons(sv, m)
     v, _ = subtract_photons(sv, m + 1)
     # u and v have opposite photon-number parity, hence are orthogonal

@@ -102,8 +102,12 @@ def main(argv=None) -> int:
             )
             _emit(table, args.format, args.out)
         else:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                spec = parse_sweep_config(handle.read())
+            try:
+                with open(args.config, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise InvalidArgumentError(f"config {args.config} is not UTF-8: {exc}") from None
+            spec = parse_sweep_config(text)
             _emit(sweep(spec), spec.fmt, args.out or spec.out)
     except MacrolensError as exc:
         print(f"macrolens-error code={exc.code} detail={exc}", file=sys.stderr)

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import GridMismatchError, InvalidArgumentError
+from .errors import GridMismatchError, InvalidArgumentError, MacrolensError
 from .fock import Ensemble, FockVector, pad_to_cutoff
 from .measurement import (
     HOMODYNE,
@@ -106,6 +105,8 @@ def _l1_and_overlap(p, q) -> tuple[float, float]:
 
 
 def _clamp01(value: float, name: str) -> float:
+    if math.isnan(value):
+        raise MacrolensError(f"{name} is NaN")
     if value < -_CLAMP_SLACK or value > 1.0 + _CLAMP_SLACK:
         log.warning("%s = %.3e clamped to [0, 1]", name, value)
     return min(1.0, max(0.0, value))
@@ -214,7 +215,7 @@ def dfs_kd_closed_form(alpha: float) -> float:
     small_run = 0
     m = 0
     while small_run < 3 and m < 100000:
-        term = math.exp((2 * m - 2) * math.log(alpha) - gammaln(m + 1)) * abs(m - a2)
+        term = math.exp((2 * m - 2) * math.log(alpha) - math.lgamma(m + 1)) * abs(m - a2)
         total += term
         small_run = small_run + 1 if term < 1e-16 else 0
         m += 1

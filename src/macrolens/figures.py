@@ -428,7 +428,9 @@ def run_figure(figure, steps: int | None = None) -> ResultTable:
             raise InvalidArgumentError(f"unknown figure {figure!r}") from None
     if fig_id not in range(1, 9):
         raise InvalidArgumentError(f"figure id must be 1..8, got {fig_id}")
-    n = steps or _DEFAULT_STEPS[fig_id]
+    n = _DEFAULT_STEPS[fig_id] if steps is None else steps
+    if n < 1:
+        raise InvalidArgumentError(f"steps must be >= 1, got {n}")
     if fig_id == 1:
         return _figure_wigner(n)
     if fig_id == 2:

@@ -17,8 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateSubtractionError,
@@ -29,6 +27,7 @@ from .errors import (
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
 _NORM_TOL = 1e-8
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def tail_tolerance_default() -> float:
@@ -160,9 +159,9 @@ class Ensemble:
     def max_cutoff(self) -> int:
         return max(s.cutoff for _, s in self.components)
 
-    def padded_components(self, cutoff: int | None = None):
+    def padded_components(self):
         """Components with all states zero-padded to a common cutoff."""
-        n = max(self.max_cutoff, cutoff or 0)
+        n = self.max_cutoff
         return [(w, pad_to_cutoff(s, n)) for w, s in self.components]
 
 
@@ -180,7 +179,7 @@ def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
             amps = np.zeros(cutoff, dtype=complex)
             amps[0] = 1.0
             return amps, 0.0
-        log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - nbar / 2.0
+        log_mag = n * math.log(abs(alpha)) - 0.5 * _lgamma(n + 1.0) - nbar / 2.0
         amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
         tail = max(0.0, 1.0 - float(np.sum(np.exp(2.0 * log_mag))))
         return amps, tail
@@ -217,9 +216,9 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
         # c_{2m} = (-tanh r)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh r)
         log_mag = (
             m * math.log(abs(t))
-            + 0.5 * gammaln(2 * m + 1.0)
+            + 0.5 * _lgamma(2 * m + 1.0)
             - m * math.log(2.0)
-            - gammaln(m + 1.0)
+            - _lgamma(m + 1.0)
             - 0.5 * math.log(math.cosh(r))
         )
         even = np.sign(t) ** m * np.exp(log_mag)
@@ -290,7 +289,9 @@ def displace(state: FockVector, alpha) -> FockVector:
     generator = alpha * lower.conj().T - np.conj(alpha) * lower
     padded = np.zeros(grown, dtype=complex)
     padded[: state.cutoff] = state.amplitudes
-    displaced = expm(generator) @ padded
+    # exp(generator) = exp(-iH) with H = i*generator Hermitian
+    lam, vecs = np.linalg.eigh(1j * generator)
+    displaced = vecs @ (np.exp(-1j * lam) * (vecs.conj().T @ padded))
     # the truncated generator is anti-Hermitian, so the norm is preserved
     # up to roundoff; renormalize to keep the FockVector invariant exact
     return from_amplitudes(displaced, tail_mass=state.tail_mass)

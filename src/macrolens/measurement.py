@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import (
     GridCoverageError,
     InvalidArgumentError,
+    UnsupportedRangeError,
     UsePmfDirectly,
 )
 from .fock import Ensemble, FockVector, quadrature_stats
@@ -70,11 +70,15 @@ class Pdf:
     def __post_init__(self):
         if self.n_points < 64:
             raise InvalidArgumentError("a Pdf needs at least 64 grid points")
+        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
+            raise InvalidArgumentError("grid bounds must be finite")
         if self.grid_max <= self.grid_min:
             raise InvalidArgumentError("grid_max must exceed grid_min")
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise InvalidArgumentError("values length must equal n_points")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgumentError("pdf has a non-finite value")
         if vals.min() < -1e-12:
             raise InvalidArgumentError(
                 f"pdf has a negative value {vals.min()} below the noise floor"
@@ -122,6 +126,8 @@ class Pmf:
         probs = np.array(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidArgumentError("probabilities must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidArgumentError("pmf has a non-finite entry")
         if probs.min() < -1e-12:
             raise InvalidArgumentError("pmf has a significantly negative entry")
         np.clip(probs, 0.0, None, out=probs)
@@ -171,6 +177,12 @@ def hermite_functions(x, n_max: int):
     return out[:, 0] if scalar else out
 
 
+def _check_grid(lo: float, hi: float) -> None:
+    """Refuse a grid on which x^2 overflows (|x| beyond about 1.3e154)."""
+    if not all(math.isfinite(float(x) * float(x)) for x in (lo, hi)):
+        raise UnsupportedRangeError(f"grid [{lo}, {hi}] is too wide: x^2 overflows on it")
+
+
 def _components(subject) -> list[tuple[float, FockVector]]:
     if isinstance(subject, FockVector):
         return [(1.0, subject)]
@@ -179,14 +191,12 @@ def _components(subject) -> list[tuple[float, FockVector]]:
     raise InvalidArgumentError("subject must be a FockVector or Ensemble")
 
 
-def default_homodyne_grid(
-    subject, angle: float, sigma: float = 0.0, n_points: int = DEFAULT_GRID_POINTS
-) -> tuple[float, float, int]:
+def default_homodyne_grid(subject, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
     """Grid spanning every component's rotated mean +- 6(sqrt(var)+sigma)+1."""
     stats = [quadrature_stats(s, angle) for _, s in _components(subject)]
     means = [m for m, _ in stats]
     spread = 6.0 * (math.sqrt(max(v for _, v in stats)) + sigma) + 1.0
-    return min(means) - spread, max(means) + spread, n_points
+    return min(means) - spread, max(means) + spread, DEFAULT_GRID_POINTS
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -199,6 +209,7 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     if grid is None:
         grid = default_homodyne_grid(subject, angle)
     grid_min, grid_max, n_points = grid
+    _check_grid(grid_min, grid_max)
     xs = np.linspace(grid_min, grid_max, n_points)
     n_max = max(s.cutoff for _, s in comps) - 1
     psi = hermite_functions(xs, n_max)
@@ -236,6 +247,7 @@ def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
         return pdf
+    _check_grid(pdf.grid_min - 6.0 * sigma, pdf.grid_max + 6.0 * sigma)
     dx = pdf.dx
     pad = math.ceil(6.0 * sigma / dx)
     values = np.concatenate([np.zeros(pad), pdf.values, np.zeros(pad)])
@@ -271,6 +283,7 @@ def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
     # points and agree to the tail mass beyond 6 sigma.
     lo = -6.0 * sigma
     top = int(significant[-1]) if n_max is None else int(n_max)
+    _check_grid(lo, top + 6.0 * sigma)
     step = sigma / 16.0
     n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
     hi = lo + (n_points - 1) * step
@@ -305,27 +318,26 @@ class WignerField:
 
 
 def _wigner_pure(state: FockVector, xgrid: np.ndarray, pgrid: np.ndarray) -> np.ndarray:
+    """W = sum_{m<=n} (2 - delta_mn) Re(c_m c_n^* W_mn), where W_mn, the Wigner
+    function of |m><n|, follows the iterative Laguerre recurrence of Johansson,
+    Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)."""
     X, P = np.meshgrid(xgrid, pgrid, indexing="ij")
-    r2 = X**2 + P**2
-    envelope = np.exp(-r2) / math.pi
-    z = X - 1j * P
+    a = (X + 1j * P) / math.sqrt(2.0)
     c = state.amplitudes
-    dim = c.size
-    rho = np.outer(c, np.conj(c))
-    w = np.zeros_like(X, dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1):
-            if abs(rho[m, n]) < 1e-18:
-                continue
-            coeff = (-1.0) ** n * math.exp(
-                0.5 * ((m - n) * math.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
-            )
-            kernel = coeff * z ** (m - n) * eval_genlaguerre(n, m - n, 2.0 * r2)
-            if m == n:
-                w += rho[m, n] * kernel
-            else:
-                w += rho[m, n] * kernel + np.conj(rho[m, n] * kernel)
-    return envelope * w.real
+    row = [np.exp(-2.0 * np.abs(a) ** 2) / math.pi]  # row[k] = W_{m, m+k}
+    for n in range(1, c.size):
+        row.append(2.0 * a * row[-1] / math.sqrt(n))
+    w = np.zeros(a.shape)
+    for m in range(c.size):
+        if m:
+            prev, sm = row, math.sqrt(m)
+            row = [(2.0 * np.conj(a) * prev[1] - sm * prev[0]) / sm]
+            for n in range(m + 1, c.size):
+                row.append((2.0 * a * row[-1] - sm * prev[n - m]) / math.sqrt(n))
+        weights = c[m] * np.conj(c[m:])
+        weights[1:] *= 2.0
+        w += sum(wk * wmn for wk, wmn in zip(weights, row)).real
+    return w
 
 
 def wigner(subject, x_range=(-5.0, 5.0), p_range=(-5.0, 5.0), n_points: int = 101) -> WignerField:

@@ -238,10 +238,65 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("macrolens-error code=invalid-argument detail=")
 
+    @pytest.mark.parametrize("fig, steps", [("5", "-1"), ("2", "0")])
+    def test_bad_steps_diagnostic(self, capsys, fig, steps):
+        rc = main(["figure", fig, "--steps", steps])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
+    def test_non_utf8_config_diagnostic(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(CONFIG.encode() + b"# \xff\n")
+        rc = main(["sweep", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
+    # "error" turns numpy's overflow RuntimeWarnings into failures
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("detector, sigma, code", [
+        ("homodyne", "1e200", "unsupported-range"),
+        ("homodyne", "1e308", "unsupported-range"),
+        ("pnrd", "1e200", "unsupported-range"),
+        ("pnrd", "1e308", "unsupported-range"),
+        ("homodyne", "1e6", "grid-coverage-error"),
+    ])
+    def test_huge_sigma_diagnostic(self, capsys, detector, sigma, code):
+        rc = main([
+            "compute", "--family", "css", "--alpha", "1",
+            "--detector", detector, "--sigma", sigma,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"macrolens-error code={code} detail=")
+
     def test_missing_config_file(self, capsys):
         rc = main(["sweep", "--config", "/nonexistent.cfg"])
         assert rc == 1
         assert "code=io" in capsys.readouterr().err
+
+
+def _package_path() -> str:
+    import macrolens
+
+    return os.path.dirname(os.path.dirname(macrolens.__file__))
+
+
+class TestImports:
+    def test_cli_does_not_import_scipy(self):
+        code = (
+            "import sys, macrolens.cli;"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": _package_path()},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestEnvTolerance:
@@ -252,12 +307,9 @@ class TestEnvTolerance:
             "print(coherent_state(2.0).tail_mass < 1e-6,"
             " coherent_state(2.0).cutoff)"
         )
-        import macrolens
-
-        src = os.path.dirname(os.path.dirname(macrolens.__file__))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": _package_path()},
         ).stdout.split()
         loose_cutoff = int(out[1])
         assert out[0] == "True"

@@ -24,7 +24,8 @@ from macrolens import (
     homodyne_pdf,
     kolmogorov_distance,
 )
-from macrolens.errors import GridMismatchError, InvalidArgumentError
+from macrolens.distinguishability import _clamp01
+from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
 
 
 def gaussian_pdf(mu, var, grid=(-20.0, 20.0, 4001)):
@@ -106,6 +107,11 @@ class TestDistanceFunctionals:
     def test_error_probability(self):
         assert error_probability(1.0) == pytest.approx(0.0)
         assert error_probability(0.0) == pytest.approx(0.5)
+
+    def test_nan_not_clamped(self):
+        # every comparison with NaN is false, so a plain clamp would give 0
+        with pytest.raises(MacrolensError):
+            _clamp01(float("nan"), "d_kd")
 
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
     @settings(max_examples=30, deadline=None)

@@ -174,6 +174,19 @@ class TestDisplace:
         back = displace(d, -alpha)
         assert back.fidelity(s) > 1 - 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.5, -1.2, 2.0 + 1.0j, 3.0j, 4.0])
+    @pytest.mark.parametrize("make", [
+        lambda: fock_state(1, 4), lambda: coherent_state(1.3), lambda: squeezed_vacuum(0.5),
+    ], ids=["fock1", "coherent", "squeezed"])
+    def test_matches_expm_of_truncated_generator(self, make, alpha):
+        s = make()
+        d = displace(s, alpha)
+        lower = np.diag(np.sqrt(np.arange(1, d.cutoff)), 1)
+        oracle = expm(alpha * lower.conj().T - np.conj(alpha) * lower)
+        expected = oracle @ pad_to_cutoff(s, d.cutoff).amplitudes
+        expected /= np.linalg.norm(expected)
+        assert np.max(np.abs(d.amplitudes - expected)) < 1e-12
+
 
 class TestSuperpose:
     def test_destructive_cancellation(self):

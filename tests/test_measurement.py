@@ -6,6 +6,7 @@ import pytest
 from macrolens import (
     DetectorModel,
     Ensemble,
+    Pdf,
     Pmf,
     blur_pdf,
     blur_pmf,
@@ -18,7 +19,12 @@ from macrolens import (
     superpose,
     wigner,
 )
-from macrolens.errors import GridCoverageError, InvalidArgumentError, UsePmfDirectly
+from macrolens.errors import (
+    GridCoverageError,
+    InvalidArgumentError,
+    UnsupportedRangeError,
+    UsePmfDirectly,
+)
 from macrolens.measurement import default_homodyne_grid
 
 
@@ -167,6 +173,40 @@ class TestWigner:
     def test_grid_coverage(self):
         with pytest.raises(GridCoverageError):
             wigner(coherent_state(3.0), (-1, 1), (-1, 1), 64)
+
+    def test_complex_coherent_gaussian(self):
+        # a complex amplitude pins the sign of p: a mirrored p would fail
+        alpha = 1.0 + 0.7j
+        w = wigner(coherent_state(alpha, 1e-16), (-4, 6), (-4, 6), 81)
+        x, p = np.meshgrid(w.xs, w.ps, indexing="ij")
+        mx, mp = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
+        expected = np.exp(-((x - mx) ** 2) - (p - mp) ** 2) / math.pi
+        assert np.max(np.abs(w.values - expected)) < 1e-10
+
+
+class TestNonFinite:
+    def test_pdf_rejects_nan_and_inf(self):
+        # a NaN mass passes the unit-mass check, since NaN compares false
+        vals = np.ones(64)
+        vals[3] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            Pdf(0.0, 1.0, 64, vals)
+        with pytest.raises(InvalidArgumentError):
+            Pdf(-np.inf, 1.0, 64, np.zeros(64))
+
+    def test_pmf_rejects_nan(self):
+        with pytest.raises(InvalidArgumentError):
+            Pmf([0.5, np.nan, 0.5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_grids_rejected(self):
+        state = coherent_state(1.0)
+        with pytest.raises(UnsupportedRangeError):
+            homodyne_pdf(state, grid=(-6e200, 6e200, 2048))
+        with pytest.raises(UnsupportedRangeError):
+            blur_pdf(homodyne_pdf(state), 1e200)
+        with pytest.raises(UnsupportedRangeError):
+            blur_pmf(pnrd_pmf(state), 1e308)
 
 
 class TestDetectorModel:
