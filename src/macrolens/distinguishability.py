@@ -31,7 +31,8 @@ from .measurement import (
     blur_pdf,
     blur_pmf,
     default_homodyne_grid,
-    homodyne_pdf,
+    homodyne_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
+    homodyne_pdfs,
     pnrd_pmf,
 )
 
@@ -133,25 +134,19 @@ def error_probability(kd: float) -> float:
 def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list:
     """Per-branch outcome distributions, aligned on one shared grid and
     blurred by the detector resolution."""
-    cutoff = max(b.cutoff for b in branch_set.branches)
-    branches = [pad_to_cutoff(b, cutoff) for b in branch_set.branches]
+    branches = branch_set.branches
     if detector.kind == HOMODYNE:
-        mixture = Ensemble(
-            tuple(zip(branch_set.weights / branch_set.weights.sum(), branches))
-        )
-        grid = default_homodyne_grid(mixture, detector.angle, detector.sigma)
-        dists = [homodyne_pdf(b, detector.angle, grid) for b in branches]
+        grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
+        dists = homodyne_pdfs(branches, detector.angle, grid)
         if detector.sigma > 0.0:
             dists = [blur_pdf(d, detector.sigma) for d in dists]
         return dists
     assert detector.kind == PNRD
-    pmfs = [pnrd_pmf(b) for b in branches]
+    cutoff = max(b.cutoff for b in branches)
+    pmfs = [pnrd_pmf(pad_to_cutoff(b, cutoff)) for b in branches]
     if detector.sigma > 0.0:
         # one shared effective support keeps all branches on the same grid
-        top = max(
-            int(np.nonzero(p.probabilities > p.probabilities.max() * 1e-16)[0][-1])
-            for p in pmfs
-        )
+        top = max(int(p.support[-1]) for p in pmfs)
         return [blur_pmf(p, detector.sigma, n_max=top) for p in pmfs]
     return pmfs
 

@@ -155,14 +155,19 @@ class Ensemble:
             raise InvalidArgumentError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def max_cutoff(self) -> int:
-        return max(s.cutoff for _, s in self.components)
 
-    def padded_components(self):
-        """Components with all states zero-padded to a common cutoff."""
-        n = self.max_cutoff
-        return [(w, pad_to_cutoff(s, n)) for w, s in self.components]
+def _grow_cutoff(expand, cutoff: int, tol: float):
+    """Double ``cutoff`` until ``expand(cutoff)`` has a tail below ``tol``, then
+    scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail)."""
+    amps, tail = expand(cutoff)
+    while tail >= tol:
+        cutoff *= 2
+        amps, tail = expand(cutoff)
+    scale = _CUTOFF_SCALE.get()
+    if scale > 1:
+        cutoff *= scale
+        amps, tail = expand(cutoff)
+    return cutoff, amps, tail
 
 
 def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
@@ -185,13 +190,7 @@ def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
         return amps, tail
 
     cutoff = max(16, math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0)))
-    amps, tail = expand(cutoff)
-    while tail >= tol:
-        cutoff *= 2
-        amps, tail = expand(cutoff)
-    scale = _CUTOFF_SCALE.get()
-    if scale > 1:
-        amps, tail = expand(cutoff * scale)
+    _, amps, tail = _grow_cutoff(expand, cutoff, tol)
     return from_amplitudes(amps, tail_mass=tail)
 
 
@@ -226,14 +225,7 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
         return even, tail
 
     cutoff = max(16, math.ceil(20.0 * math.exp(2.0 * abs(r))))
-    even, tail = expand(cutoff)
-    while tail >= tol:
-        cutoff *= 2
-        even, tail = expand(cutoff)
-    scale = _CUTOFF_SCALE.get()
-    if scale > 1:
-        cutoff *= scale
-        even, tail = expand(cutoff)
+    cutoff, even, tail = _grow_cutoff(expand, cutoff, tol)
     amps = np.zeros(cutoff, dtype=complex)
     amps[::2][: even.size] = even
     return from_amplitudes(amps, tail_mass=tail)

@@ -141,6 +141,11 @@ class Pmf:
     def cutoff(self) -> int:
         return self.probabilities.size
 
+    @property
+    def support(self) -> np.ndarray:
+        """Outcomes above 1e-16 of the largest probability."""
+        return np.nonzero(self.probabilities > self.probabilities.max() * 1e-16)[0]
+
 
 def hermite_functions(x, n_max: int):
     """Harmonic-oscillator eigenfunctions psi_n(x) for n = 0..n_max.
@@ -168,8 +173,7 @@ def hermite_functions(x, n_max: int):
     for n in range(n_max):
         nxt = math.sqrt(2.0 / (n + 1)) * xs * cur - math.sqrt(n / (n + 1)) * prev
         prev, cur = cur, nxt
-        big = np.abs(cur) > 1e120
-        if big.any():
+        while (big := np.abs(cur) > 1e120).any():
             prev[big] *= 1e-120
             cur[big] *= 1e-120
             expo[big] += rescale
@@ -187,16 +191,36 @@ def _components(subject) -> list[tuple[float, FockVector]]:
     if isinstance(subject, FockVector):
         return [(1.0, subject)]
     if isinstance(subject, Ensemble):
-        return subject.padded_components()
+        return list(subject.components)
     raise InvalidArgumentError("subject must be a FockVector or Ensemble")
 
 
-def default_homodyne_grid(subject, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
-    """Grid spanning every component's rotated mean +- 6(sqrt(var)+sigma)+1."""
-    stats = [quadrature_stats(s, angle) for _, s in _components(subject)]
+def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
+    """Grid spanning every state's rotated mean +- 6(sqrt(var)+sigma)+1."""
+    stats = [quadrature_stats(s, angle) for s in states]
     means = [m for m, _ in stats]
     spread = 6.0 * (math.sqrt(max(v for _, v in stats)) + sigma) + 1.0
     return min(means) - spread, max(means) + spread, DEFAULT_GRID_POINTS
+
+
+def homodyne_pdfs(states, angle: float, grid) -> list[Pdf]:
+    """Quadrature distributions |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure
+    states on one grid, from one Hermite table and one real matrix product
+    of the real and imaginary rows of the rotated, zero-padded amplitudes."""
+    grid_min, grid_max, n_points = grid
+    _check_grid(grid_min, grid_max)
+    cutoff = max(s.cutoff for s in states)
+    psi = hermite_functions(np.linspace(grid_min, grid_max, n_points), cutoff - 1)
+    phase = np.exp(-1j * np.arange(cutoff) * angle)
+    rotated = phase * np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
+    waves = np.concatenate([rotated.real, rotated.imag]) @ psi
+    values = waves[: len(states)] ** 2 + waves[len(states) :] ** 2
+    mass = np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=1).min()
+    if mass < 1.0 - _MASS_TOL:
+        raise GridCoverageError(
+            f"grid [{grid_min}, {grid_max}] captures only {mass} of the state"
+        )
+    return [Pdf(grid_min, grid_max, n_points, v) for v in values]
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -205,27 +229,11 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     For a pure state P(x) = |sum_n c_n e^{-i n phi} psi_n(x)|^2; for an
     ensemble the weighted average of the component distributions.
     """
-    comps = _components(subject)
+    weights, states = zip(*_components(subject))
     if grid is None:
-        grid = default_homodyne_grid(subject, angle)
-    grid_min, grid_max, n_points = grid
-    _check_grid(grid_min, grid_max)
-    xs = np.linspace(grid_min, grid_max, n_points)
-    n_max = max(s.cutoff for _, s in comps) - 1
-    psi = hermite_functions(xs, n_max)
-    values = np.zeros(n_points)
-    for weight, state in comps:
-        ns = np.arange(state.cutoff)
-        rotated = state.amplitudes * np.exp(-1j * ns * angle)
-        wave = rotated @ psi[: state.cutoff]
-        values += weight * np.abs(wave) ** 2
-    dx = (grid_max - grid_min) / (n_points - 1)
-    mass = float(np.trapezoid(values, dx=dx))
-    if mass < 1.0 - _MASS_TOL:
-        raise GridCoverageError(
-            f"grid [{grid_min}, {grid_max}] captures only {mass} of the state"
-        )
-    return Pdf(grid_min, grid_max, n_points, values)
+        grid = default_homodyne_grid(states, angle)
+    pdfs = homodyne_pdfs(states, angle, grid)
+    return Pdf(*grid, sum(w * p.values for w, p in zip(weights, pdfs)))
 
 
 def pnrd_pmf(subject) -> Pmf:
@@ -276,7 +284,7 @@ def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
     if sigma == 0.0:
         raise UsePmfDirectly("sigma = 0: keep using the discrete Pmf")
     probs = pmf.probabilities
-    significant = np.nonzero(probs > probs.max() * 1e-16)[0]
+    significant = pmf.support
     # The grid covers the effective support only, with a step fixed at
     # sigma/16: grids built from slightly different supports (e.g. after
     # zero-padding the Pmf at a larger Fock cutoff) then share their sample

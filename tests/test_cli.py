@@ -263,6 +263,7 @@ class TestMain:
         ("pnrd", "1e200", "unsupported-range"),
         ("pnrd", "1e308", "unsupported-range"),
         ("homodyne", "1e6", "grid-coverage-error"),
+        ("homodyne", "1e150", "grid-coverage-error"),
     ])
     def test_huge_sigma_diagnostic(self, capsys, detector, sigma, code):
         rc = main([
@@ -297,6 +298,16 @@ class TestImports:
             env={**os.environ, "PYTHONPATH": _package_path()},
         ).stdout
         assert out.strip() == "[]"
+
+    def test_benchmark_tracer_installs(self):
+        # perfbench/spans.py wraps module attributes by name and fails when
+        # one of them is gone
+        perfbench = os.path.join(os.path.dirname(_package_path()), "perfbench")
+        subprocess.run(
+            [sys.executable, "-c", "import spans; spans.Tracer().install()"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([_package_path(), perfbench])},
+        )
 
 
 class TestEnvTolerance:

@@ -21,8 +21,11 @@ from macrolens import (
     dfs_kd_closed_form,
     error_probability,
     fock_state,
+    hermite_functions,
     homodyne_pdf,
     kolmogorov_distance,
+    measurement,
+    psv,
 )
 from macrolens.distinguishability import _clamp01
 from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
@@ -127,12 +130,31 @@ class TestDistanceFunctionals:
 
 class TestBranchMeasures:
     def test_css_homodyne_oracles(self):
-        # analytic overlaps of |alpha> and |-alpha> quadrature Gaussians
-        alpha = 1.2
-        det = DetectorModel.homodyne()
-        bs = two_coherent_branches(alpha)
-        assert d_kd(bs, det) == pytest.approx(erf(math.sqrt(2) * alpha), abs=1e-6)
-        assert d_bc(bs, det) == pytest.approx(1 - math.exp(-2 * alpha**2), abs=1e-6)
+        # analytic overlaps of |alpha> and |-alpha> quadrature Gaussians.
+        # Branches |+-1.2 e^{i phase}> read at `angle`: turning branches and
+        # detector together keeps the real oracle; at the conjugate
+        # quadrature both branches give one distribution.
+        cases = [
+            (0.0, 0.0, 1.2, 1e-6),
+            (0.4, 0.4, 1.2, 1e-6),
+            (0.4, 0.4 + math.pi / 2, 0.0, 1e-10),
+        ]
+        for phase, angle, alpha, tol in cases:
+            det = DetectorModel.homodyne(angle=angle)
+            bs = two_coherent_branches(1.2 * np.exp(1j * phase))
+            assert d_kd(bs, det) == pytest.approx(erf(math.sqrt(2) * alpha), abs=tol)
+            assert d_bc(bs, det) == pytest.approx(1 - math.exp(-2 * alpha**2), abs=tol)
+
+    def test_one_hermite_table_per_branch_set(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return hermite_functions(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "hermite_functions", counting)
+        both_measures(psv(1.0).branch_set, DetectorModel.homodyne(sigma=0.5))
+        assert len(calls) == 1
 
     def test_css_pnrd_blind(self):
         # photon counting cannot tell |alpha> from |-alpha>

@@ -270,5 +270,3 @@ class TestPadAndTypes:
         with pytest.raises(InvalidArgumentError):
             Ensemble(((0.6, v), (0.6, v)))
         ens = Ensemble(((0.5, v), (0.5, fock_state(1, 6))))
-        padded = ens.padded_components()
-        assert all(s.cutoff == 6 for _, s in padded)

@@ -41,15 +41,17 @@ class TestHermiteFunctions:
         gram = psi @ psi.T * (xs[1] - xs[0])
         assert np.max(np.abs(gram - np.eye(31))) < 1e-8
 
+    # "error" turns numpy's overflow RuntimeWarnings into failures
+    @pytest.mark.filterwarnings("error")
     def test_finite_deep_in_forbidden_region(self):
-        vals = hermite_functions(np.array([-40.0, 40.0]), 2048)
+        vals = hermite_functions(np.array([-40.0, 40.0, -1e150, 1e150]), 2048)
         assert np.all(np.isfinite(vals))
 
     def test_large_n_large_x_accuracy(self):
         # oscillatory region reached through the scaled recurrence: compare
         # psi_n(x)^2 sums against the known squeezed-state quadrature PDF
         sv = squeezed_vacuum(2.0)
-        grid = default_homodyne_grid(sv, math.pi / 2)
+        grid = default_homodyne_grid([sv], math.pi / 2)
         pdf = homodyne_pdf(sv, math.pi / 2, grid)
         var = math.exp(4.0) / 2.0
         expect = np.exp(-pdf.xs**2 / (2 * var)) / math.sqrt(2 * math.pi * var)
@@ -74,10 +76,18 @@ class TestHomodynePdf:
         assert pdf.mean() == pytest.approx(0.0, abs=1e-8)
 
     def test_mixture_averages(self):
-        mix = Ensemble(((0.5, coherent_state(1.0)), (0.5, coherent_state(-1.0))))
-        pdf = homodyne_pdf(mix)
-        assert pdf.mean() == pytest.approx(0.0, abs=1e-8)
-        assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
+        cases = [
+            (((0.5, coherent_state(1.0)), (0.5, coherent_state(-1.0))), 0.0),
+            # components of different cutoffs
+            (((0.3, fock_state(1, 4)), (0.7, coherent_state(1.5))), 0.7 * 1.5 * math.sqrt(2)),
+        ]
+        for components, mean in cases:
+            pdf = homodyne_pdf(Ensemble(components))
+            grid = (pdf.grid_min, pdf.grid_max, pdf.n_points)
+            parts = sum(w * homodyne_pdf(s, grid=grid).values for w, s in components)
+            assert np.max(np.abs(pdf.values - parts)) < 1e-12
+            assert pdf.mean() == pytest.approx(mean, abs=1e-8)
+            assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridCoverageError):
