@@ -17,7 +17,7 @@ import numpy as np
 
 # d_kd is unused here but the perfbench/spans.py tracer still wraps catalog.d_kd
 from .distinguishability import BranchSet, d_kd
-from .errors import InvalidArgumentError, UnsupportedRangeError
+from .errors import DegenerateSubtractionError, InvalidArgumentError, UnsupportedRangeError
 from .fock import (
     FockVector,
     coherent_state,
@@ -26,6 +26,7 @@ from .fock import (
     squeezed_vacuum,
     subtract_photons,
     superpose,
+    tail_tolerance_default,
 )
 
 FAMILIES = ("css", "psv", "dfs")
@@ -85,12 +86,51 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
         raise InvalidArgumentError("m must be a positive integer")
     # r = 0 is the vacuum: the subtraction below fails as degenerate
     sv = squeezed_vacuum(-r)
-    u, _ = subtract_photons(sv, m)
-    v, _ = subtract_photons(sv, m + 1)
+    u, v = (_subtract(sv, r, k, tail_tolerance_default()) for k in (m, m + 1))
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)
     b2 = superpose(u, v, -1)
     return _two_branch(b1, b2, "psv", {"r": r, "m": m})
+
+
+def _log_core_norm(r: float, m: int) -> float:
+    """log ||a^m S|0>||^2 for either sign of the squeeze.  S is unitary, so
+    this is the squared norm of (cosh r a + sinh r a^dag)^m |0>, built on
+    m + 1 levels with a rescale at each step."""
+    k = np.sqrt(np.arange(1.0, m + 1))
+    core = np.zeros(m + 1)
+    core[0] = 1.0
+    c, s, log_sq = math.cosh(r), math.sinh(r), 0.0
+    for _ in range(m):
+        core = c * np.append(k * core[1:], 0.0) + s * np.append(0.0, k * core[:-1])
+        scale = np.abs(core).max()
+        core /= scale
+        log_sq += 2.0 * math.log(scale)
+    return log_sq + math.log(core @ core)
+
+
+def _subtract(sv: FockVector, r: float, m: int, tol: float) -> FockVector:
+    """Normalized a^m sv whose ``tail_mass`` is measured against the exact
+    norm; a tail at or above ``tol`` is unsupported."""
+    try:
+        state, factor = subtract_photons(sv, m)
+    except DegenerateSubtractionError:
+        # degenerate only if the exact norm is as small as the truncated one;
+        # a^m beyond the basis is lost to truncation
+        if r == 0.0 or (m < sv.cutoff and _log_core_norm(r, m) <= math.log(1e-14)):
+            raise
+        raise UnsupportedRangeError(
+            f"a^{m} needs more than the {sv.cutoff} levels of the squeezed vacuum"
+        ) from None
+    kept = (1.0 - sv.tail_mass) * math.exp(-2.0 * math.log(factor) - _log_core_norm(r, m))
+    if 1.0 - kept >= tol:
+        raise UnsupportedRangeError(
+            f"a^{m} at r = {r} leaves a truncation tail of {1.0 - kept:.3g}, "
+            f"above the tolerance {tol:g}"
+        )
+    # set on the fresh vector: rebuilding it would renormalize its amplitudes
+    object.__setattr__(state, "tail_mass", max(0.0, 1.0 - kept))
+    return state
 
 
 def dfs(alpha: float) -> TwoBranchState:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .measurement import (
 log = logging.getLogger(__name__)
 
 _CLAMP_SLACK = 1e-9
+_HALVES = np.array([0.5, 0.5])
 
 
 @dataclass(frozen=True)
@@ -86,23 +88,32 @@ def complement_mixture(branch_set: BranchSet, k: int) -> Ensemble:
     return Ensemble(tuple((w / total, s) for w, s in rest))
 
 
-def _l1_and_overlap(p, q) -> tuple[float, float]:
-    """(integral |P-Q|, integral sqrt(P*Q)) over a shared support."""
-    if isinstance(p, Pdf) and isinstance(q, Pdf):
-        if not p.same_grid(q):
+def _overlap_and_kd(dists, weights) -> tuple[float, float]:
+    """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) on a shared support.
+
+    Q_k, the distribution of the complement mixture of branch k, is the
+    weight-average of the other rows (measurement and blur are linear in the
+    state): one product with the row-normalized, off-diagonal weights.
+    """
+    first = dists[0]
+    if all(isinstance(d, Pdf) for d in dists):
+        if not all(first.same_grid(d) for d in dists):
             raise GridMismatchError("pdfs live on different grids")
-        diff = np.abs(p.values - q.values)
-        overlap = np.sqrt(p.values * q.values)
-        return (
-            float(np.trapezoid(diff, dx=p.dx)),
-            float(np.trapezoid(overlap, dx=p.dx)),
-        )
-    if isinstance(p, Pmf) and isinstance(q, Pmf):
-        if p.cutoff != q.cutoff:
+        rows = np.stack([d.values for d in dists])
+        integrate = partial(np.trapezoid, dx=first.dx, axis=1)
+    elif all(isinstance(d, Pmf) for d in dists):
+        if any(d.cutoff != first.cutoff for d in dists):
             raise GridMismatchError("pmfs have different supports")
-        a, b = p.probabilities, q.probabilities
-        return float(np.abs(a - b).sum()), float(np.sqrt(a * b).sum())
-    raise GridMismatchError("cannot compare a Pdf with a Pmf")
+        rows = np.stack([d.probabilities for d in dists])
+        integrate = partial(np.sum, axis=1)
+    else:
+        raise GridMismatchError("cannot compare a Pdf with a Pmf")
+    mix = weights * (1.0 - np.eye(len(dists)))
+    mix /= mix.sum(axis=1, keepdims=True)
+    complements = mix @ rows
+    l1 = integrate(np.abs(rows - complements))
+    overlap = integrate(np.sqrt(rows * complements))
+    return float(np.sum(weights * overlap)), float(np.sum(weights * 0.5 * l1))
 
 
 def _clamp01(value: float, name: str) -> float:
@@ -115,15 +126,13 @@ def _clamp01(value: float, name: str) -> float:
 
 def bhattacharyya_coeff(p, q) -> float:
     """Overlap Omega = integral sqrt(P*Q); 1 for identical distributions."""
-    _, overlap = _l1_and_overlap(p, q)
-    return _clamp01(overlap, "bhattacharyya")
+    return _clamp01(_overlap_and_kd([p, q], _HALVES)[0], "bhattacharyya")
 
 
 def kolmogorov_distance(p, q) -> float:
     """KD = (1/2) integral |P - Q|; related to the single-shot error
     probability through PE = (1 - KD) / 2."""
-    l1, _ = _l1_and_overlap(p, q)
-    return _clamp01(0.5 * l1, "kolmogorov")
+    return _clamp01(_overlap_and_kd([p, q], _HALVES)[1], "kolmogorov")
 
 
 def error_probability(kd: float) -> float:
@@ -151,37 +160,12 @@ def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list
     return pmfs
 
 
-def _complement_distribution(dists: list, weights: np.ndarray, k: int):
-    """Outcome distribution of the complement mixture of branch k.
-
-    Blurring and measurement are linear in the state, so the mixture's
-    distribution is the weight-average of the other branches' distributions.
-    """
-    rest = [l for l in range(len(dists)) if l != k]
-    w = weights[rest] / weights[rest].sum()
-    if isinstance(dists[0], Pdf):
-        values = sum(wi * dists[l].values for wi, l in zip(w, rest))
-        ref = dists[0]
-        return Pdf(ref.grid_min, ref.grid_max, ref.n_points, values)
-    values = sum(wi * dists[l].probabilities for wi, l in zip(w, rest))
-    return Pmf(values)
-
-
 def both_measures(branch_set: BranchSet, detector: DetectorModel) -> tuple[float, float]:
     """(D_BC, D_KD) computed from one shared set of outcome distributions."""
-    dists = branch_distributions(branch_set, detector)
-    weights = branch_set.weights
-    overlap_total = 0.0
-    kd_total = 0.0
-    for k in range(branch_set.size):
-        comp = _complement_distribution(dists, weights, k)
-        l1, overlap = _l1_and_overlap(dists[k], comp)
-        overlap_total += weights[k] * overlap
-        kd_total += weights[k] * 0.5 * l1
-    return (
-        _clamp01(1.0 - overlap_total, "d_bc"),
-        _clamp01(kd_total, "d_kd"),
+    overlap, kd = _overlap_and_kd(
+        branch_distributions(branch_set, detector), branch_set.weights
     )
+    return _clamp01(1.0 - overlap, "d_bc"), _clamp01(kd, "d_kd")
 
 
 def d_bc(branch_set: BranchSet, detector: DetectorModel) -> float:

@@ -158,11 +158,20 @@ class Ensemble:
 
 def _grow_cutoff(expand, cutoff: int, tol: float):
     """Double ``cutoff`` until ``expand(cutoff)`` has a tail below ``tol``, then
-    scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail)."""
+    scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail).
+
+    The tail is 1 - sum |c_n|^2, which stops falling at roundoff; a doubling
+    that does not lower it ends the growth as unsupported.
+    """
     amps, tail = expand(cutoff)
     while tail >= tol:
         cutoff *= 2
-        amps, tail = expand(cutoff)
+        amps, last = expand(cutoff)
+        if last >= tail:
+            raise UnsupportedRangeError(
+                f"truncation tail stalls at {last:.3g}, above the tolerance {tol:g}"
+            )
+        tail = last
     scale = _CUTOFF_SCALE.get()
     if scale > 1:
         cutoff *= scale
@@ -250,13 +259,18 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
     """
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
+    if m >= state.cutoff:
+        raise DegenerateSubtractionError(f"a^{m} annihilates the state")
     work = np.array(state.amplitudes)
-    for _ in range(m):
-        n = np.arange(1, work.size)
-        shifted = np.zeros_like(work)
-        shifted[: work.size - 1] = np.sqrt(n) * work[1:]
-        work = shifted
-    norm_sq = float(np.vdot(work, work).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(m):
+            n = np.arange(1, work.size)
+            shifted = np.zeros_like(work)
+            shifted[: work.size - 1] = np.sqrt(n) * work[1:]
+            work = shifted
+        norm_sq = float(np.vdot(work, work).real)
+    if not math.isfinite(norm_sq):
+        raise UnsupportedRangeError(f"the norm of a^{m} on this state overflows a double")
     if norm_sq <= 1e-14:
         raise DegenerateSubtractionError(f"a^{m} annihilates the state")
     norm = math.sqrt(norm_sq)

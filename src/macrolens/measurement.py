@@ -27,6 +27,7 @@ PNRD = "pnrd"
 
 DEFAULT_GRID_POINTS = 2048
 _MASS_TOL = 1e-6
+_MAX_BLUR_POINTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class DetectorModel:
             raise InvalidArgumentError(f"unknown detector kind {self.kind!r}")
         if not math.isfinite(self.angle):
             raise InvalidArgumentError("angle must be finite")
+        # the quadrature is 2 pi-periodic in phi; the phases e^{-i n phi} need n*phi finite
+        object.__setattr__(self, "angle", math.fmod(self.angle, 2.0 * math.pi))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidArgumentError("sigma must be finite and >= 0")
 
@@ -260,7 +263,8 @@ def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
     pad = math.ceil(6.0 * sigma / dx)
     values = np.concatenate([np.zeros(pad), pdf.values, np.zeros(pad)])
     offsets = np.arange(-pad, pad + 1) * dx
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing exponent gives exactly 0
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()  # discrete normalization preserves sum(v)*dx
     blurred = np.convolve(values, kernel, mode="same")
     return Pdf(
@@ -293,10 +297,16 @@ def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
     top = int(significant[-1]) if n_max is None else int(n_max)
     _check_grid(lo, top + 6.0 * sigma)
     step = sigma / 16.0
+    if top + 6.0 * sigma - lo > _MAX_BLUR_POINTS * step:
+        raise UnsupportedRangeError(
+            f"sigma = {sigma} needs a grid of more than {_MAX_BLUR_POINTS} points"
+        )
     n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
     hi = lo + (n_points - 1) * step
     xs = np.linspace(lo, hi, n_points)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    if not math.isfinite(norm * norm):  # an overlap multiplies two densities
+        raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
     values = np.zeros(n_points)
     # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
     # beyond that it is below e^-40.5 of its peak.

@@ -16,8 +16,11 @@ from macrolens import (
     from_amplitudes,
     moments,
     psv,
+    scaled_cutoffs,
+    squeezed_vacuum,
+    subtract_photons,
 )
-from macrolens.catalog import FAMILIES
+from macrolens.catalog import FAMILIES, _log_core_norm, _subtract
 from macrolens.errors import (
     DegenerateSubtractionError,
     InvalidArgumentError,
@@ -99,6 +102,33 @@ class TestPsv:
             psv(3.0)
         with pytest.raises(InvalidArgumentError):
             psv(1.0, m=0)
+
+    @pytest.mark.parametrize("r", (0.3, 1.0, 2.5))
+    def test_core_norm_closed_forms(self, r):
+        # <a^dag a> = sinh^2 r and <a^dag^2 a^2> = 2 sinh^4 r + sinh^2 r cosh^2 r
+        s2, c2 = math.sinh(r) ** 2, math.cosh(r) ** 2
+        assert _log_core_norm(r, 1) == pytest.approx(math.log(s2), abs=1e-13)
+        assert _log_core_norm(r, 2) == pytest.approx(math.log(2 * s2**2 + s2 * c2), abs=1e-13)
+
+    @pytest.mark.parametrize("m", (3, 4, 5))
+    def test_subtraction_tail_matches_doubled_cutoff(self, m):
+        # the truncated norm at twice the cutoff is an independent estimate
+        # of the exact norm of a^m S|0>; the squeezed vacuum's amplitudes
+        # carry about 1e-14 of roundoff, so both estimates do too
+        sv = squeezed_vacuum(-2.5)
+        with scaled_cutoffs(2):
+            wide = squeezed_vacuum(-2.5)
+        _, factor = subtract_photons(sv, m)
+        _, wide_factor = subtract_photons(wide, m)
+        expected = 1 - (wide_factor / factor) ** 2
+        tail = _subtract(sv, 2.5, m, 1e-6).tail_mass
+        assert tail == pytest.approx(expected, abs=2e-14)
+        assert tail > 1e-14
+
+    def test_branch_tails_are_honest(self):
+        # a^4 reweights the squeezed vacuum's tail by about n^4
+        for b in psv(2.5, 3).branch_set.branches:
+            assert 1e-14 < b.tail_mass < 1e-12
 
 
 class TestDfs:

@@ -1,7 +1,12 @@
+import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -264,11 +269,44 @@ class TestMain:
         ("pnrd", "1e308", "unsupported-range"),
         ("homodyne", "1e6", "grid-coverage-error"),
         ("homodyne", "1e150", "grid-coverage-error"),
+        ("pnrd", "1e-9", "unsupported-range"),
     ])
     def test_huge_sigma_diagnostic(self, capsys, detector, sigma, code):
         rc = main([
             "compute", "--family", "css", "--alpha", "1",
             "--detector", detector, "--sigma", sigma,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"macrolens-error code={code} detail=")
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_homodyne_sigma(self, capsys):
+        # the blur kernel's exponent overflows off its centre: exactly 0 there
+        rc = main([
+            "compute", "--family", "css", "--alpha", "1",
+            "--detector", "homodyne", "--sigma", "1e-300",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r, m, code", [
+        ("2.5", "4", "unsupported-range"),  # a^5 leaves a tail of 1.5e-12
+        ("2.5", "5", "unsupported-range"),
+        ("2.5", "20", "unsupported-range"),
+        ("2.5", "100", "unsupported-range"),
+        ("2.5", "300", "unsupported-range"),
+        ("0.5", "100", "unsupported-range"),
+        ("0.5", "100000", "unsupported-range"),
+        ("0", "1", "degenerate-subtraction"),
+        ("0", "100000", "degenerate-subtraction"),
+    ])
+    def test_psv_subtraction_diagnostic(self, capsys, r, m, code):
+        rc = main([
+            "compute", "--family", "psv", "--r", r, "--m", m,
+            "--detector", "pnrd", "--sigma", "0",
         ])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
@@ -310,7 +348,36 @@ class TestImports:
         )
 
 
+def _capped_address_space():
+    # a cutoff that grows without bound then fails fast instead of
+    # exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestEnvTolerance:
+    @pytest.mark.parametrize("tol, family, param", [
+        ("1e-16", "css", "--alpha=4"),
+        ("1e-300", "css", "--alpha=4"),
+        ("1e-16", "psv", "--r=1.5"),
+    ])
+    def test_unreachable_tolerance_diagnostic(self, tol, family, param):
+        # 1 - sum |c_n|^2 stops falling at roundoff, near 1e-16
+        code = (
+            "import sys; from macrolens.cli import main;"
+            f"sys.exit(main(['compute', '--family', '{family}', '{param}',"
+            " '--detector', 'pnrd', '--sigma', '0']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+            timeout=120, preexec_fn=_capped_address_space,
+            env={**os.environ, "PYTHONPATH": _package_path(), "MACROLENS_TAIL_TOL": tol,
+                 "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=unsupported-range detail=")
+
     def test_tail_tolerance_env(self):
         code = (
             "import os; os.environ['MACROLENS_TAIL_TOL']='1e-6';"
@@ -327,3 +394,43 @@ class TestEnvTolerance:
         from macrolens import coherent_state
 
         assert coherent_state(2.0).cutoff >= loose_cutoff
+
+
+# Edge values for every numeric compute flag: zero, signed extremes, the ends
+# of the family ranges and just past them, and non-finite input.
+_EDGE = ["0", "1e-300", "-1e-300", "1e-9", "0.5", "2.5", "4", "4.0001", "-1",
+         "nan", "inf", "1e150", "1e308"]
+_DIAGNOSTIC = re.compile(r"macrolens-error code=\S+ detail=")
+
+
+class TestComputeFuzz:
+    @given(
+        family=st.sampled_from(["css", "psv", "dfs"]),
+        value=st.sampled_from(_EDGE),
+        m=st.sampled_from(["-1", "0", "1", "2", "5", "100", "300"]),
+        detector=st.sampled_from(["homodyne", "pnrd"]),
+        sigma=st.sampled_from(_EDGE),
+        angle=st.sampled_from([None, *_EDGE]),
+        sign=st.sampled_from(["plus", "minus"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exit_zero_or_one_diagnostic(self, family, value, m, detector, sigma,
+                                         angle, sign):
+        # "--flag=value" keeps argparse from reading "-1e-300" as an option
+        param = "--r" if family == "psv" else "--alpha"
+        argv = ["compute", "--family", family, f"{param}={value}", f"--m={m}",
+                "--detector", detector, f"--sigma={sigma}", "--sign", sign]
+        if angle is not None:
+            argv.append(f"--angle={angle}")
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                rc = main(argv)
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1
+            assert len(lines) == 1
+            assert _DIAGNOSTIC.match(lines[0])

@@ -9,6 +9,7 @@ from scipy.special import erf
 from macrolens import (
     BranchSet,
     DetectorModel,
+    Ensemble,
     Pdf,
     Pmf,
     bhattacharyya_coeff,
@@ -25,9 +26,12 @@ from macrolens import (
     homodyne_pdf,
     kolmogorov_distance,
     measurement,
+    pad_to_cutoff,
+    pnrd_pmf,
     psv,
 )
 from macrolens.distinguishability import _clamp01
+from macrolens.measurement import blur_pdf, blur_pmf, default_homodyne_grid
 from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
 
 
@@ -155,6 +159,41 @@ class TestBranchMeasures:
         monkeypatch.setattr(measurement, "hermite_functions", counting)
         both_measures(psv(1.0).branch_set, DetectorModel.homodyne(sigma=0.5))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.homodyne(sigma=0.5),
+        DetectorModel.pnrd(),
+        DetectorModel.pnrd(sigma=1.0),
+    ])
+    def test_three_unequal_branches(self, detector):
+        # the only case where a complement mixes several rows: sum the
+        # pairwise functionals over explicit complement mixtures
+        bs = BranchSet(
+            np.sqrt([0.5, 0.25, 0.25]),
+            (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2)),
+        )
+        cutoff = max(b.cutoff for b in bs.branches)
+
+        def pmf(subject):
+            parts = subject.components if isinstance(subject, Ensemble) else [(1.0, subject)]
+            return pnrd_pmf(Ensemble(tuple((w, pad_to_cutoff(s, cutoff)) for w, s in parts)))
+
+        top = max(int(pmf(b).support[-1]) for b in bs.branches)
+
+        def dist(subject):
+            if detector.kind == "homodyne":
+                grid = default_homodyne_grid(bs.branches, 0.0, detector.sigma)
+                return blur_pdf(homodyne_pdf(subject, grid=grid), detector.sigma)
+            if detector.sigma > 0.0:
+                return blur_pmf(pmf(subject), detector.sigma, n_max=top)
+            return pmf(subject)
+
+        bc, kd = 0.0, 0.0
+        for k, (w, branch) in enumerate(zip(bs.weights, bs.branches)):
+            p, q = dist(branch), dist(complement_mixture(bs, k))
+            bc += w * (1.0 - bhattacharyya_coeff(p, q))
+            kd += w * kolmogorov_distance(p, q)
+        assert both_measures(bs, detector) == pytest.approx((bc, kd), abs=1e-12)
 
     def test_css_pnrd_blind(self):
         # photon counting cannot tell |alpha> from |-alpha>

@@ -128,6 +128,13 @@ class TestBlurPdf:
         with pytest.raises(InvalidArgumentError):
             blur_pdf(homodyne_pdf(fock_state(0, 8)), -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_is_identity(self):
+        # every off-centre kernel exponent overflows, so the kernel is [0, 1, 0]
+        pdf = homodyne_pdf(fock_state(0, 8))
+        blurred = blur_pdf(pdf, 1e-300)
+        assert np.array_equal(blurred.values[1:-1], pdf.values)
+
 
 class TestBlurPmf:
     def test_zero_sigma_signals_caller(self):
@@ -217,6 +224,9 @@ class TestNonFinite:
             blur_pdf(homodyne_pdf(state), 1e200)
         with pytest.raises(UnsupportedRangeError):
             blur_pmf(pnrd_pmf(state), 1e308)
+        # only the n = 0 outcome: the grid is small, but 1/sigma^2 overflows
+        with pytest.raises(UnsupportedRangeError):
+            blur_pmf(Pmf(np.array([1.0])), 1e-200)
 
 
 class TestDetectorModel:
@@ -230,3 +240,12 @@ class TestDetectorModel:
         hd = DetectorModel.homodyne(angle=0.3, sigma=1.0)
         assert (hd.kind, hd.angle, hd.sigma) == ("homodyne", 0.3, 1.0)
         assert DetectorModel.pnrd().sigma == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_angle_reduced_mod_two_pi(self):
+        # n * phi must stay finite for every Fock level
+        assert DetectorModel.homodyne(angle=2 * math.pi + 0.3).angle == pytest.approx(0.3)
+        wide = DetectorModel.homodyne(angle=1e308)
+        assert abs(wide.angle) < 2 * math.pi
+        pdf = homodyne_pdf(coherent_state(1.0), wide.angle)
+        assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
