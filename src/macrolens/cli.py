@@ -15,9 +15,11 @@ form ``macrolens-error code=<kind> detail=<message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ._version import __version__
+from .catalog import FAMILIES
 from .errors import InvalidArgumentError, MacrolensError
 from .figures import (
     FIGURE_ALIASES,
@@ -29,6 +31,7 @@ from .figures import (
 )
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macrolens",
@@ -48,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--steps", type=int, default=None, help="override the sweep density")
 
     comp = sub.add_parser("compute", help="single (state, detector) macroscopicity point")
-    comp.add_argument("--family", required=True, choices=("css", "psv", "dfs"))
+    comp.add_argument("--family", required=True, choices=FAMILIES)
     comp.add_argument("--alpha", type=float, default=None)
     comp.add_argument("--r", type=float, default=None)
     comp.add_argument("--m", type=int, default=1)
@@ -114,6 +117,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"macrolens-error code=io detail={exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"macrolens-error code=unsupported-range detail=out of memory: {exc}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,17 +22,6 @@ from .macroscopicity import n_fluct, report
 from .measurement import DetectorModel, wigner
 
 CONVENTION = "x=(a+adag)/sqrt(2); p=(a-adag)/(i*sqrt(2)); vacuum var=1/2"
-
-FIGURE_ALIASES = {
-    "fig-wigner": 1,
-    "fig-css": 2,
-    "fig-psv": 3,
-    "fig-dfs": 4,
-    "fig-noise-css": 5,
-    "fig-noise-psv": 6,
-    "fig-noise-dfs": 7,
-    "fig-summary": 8,
-}
 
 ALL_MEASURES = ("n_fluct", "mean_n", "d_bc", "d_kd", "m_bc", "m_kd")
 
@@ -344,16 +334,9 @@ def _figure_family(family: str, start: float, stop: float, steps: int) -> Result
     return ResultTable(columns, rows, meta)
 
 
-_NOISE_PARAMS = {
-    "css": ("alpha", (0.5, 1.0, 2.0)),
-    "psv": ("r", (0.5, 1.0, 2.0)),
-    "dfs": ("alpha", (0.5, 1.0, 2.0)),
-}
-
-
 def _figure_noise(family: str, steps: int) -> ResultTable:
     """Kolmogorov distinguishability vs detector resolution sigma."""
-    param, values = _NOISE_PARAMS[family]
+    param, values = _param_name(family), (0.5, 1.0, 2.0)
     sigmas = [float(s) for s in np.linspace(0.0, 4.0, steps)]
     kinds = ("homodyne", "pnrd") if family == "dfs" else ("homodyne",)
     columns = ["sigma"]
@@ -413,32 +396,32 @@ def _figure_summary(steps: int) -> ResultTable:
     return ResultTable(columns, rows, meta)
 
 
-_DEFAULT_STEPS = {1: 81, 2: 61, 3: 61, 4: 61, 5: 21, 6: 21, 7: 21, 8: 21}
+# figure id -> (alias, default steps, table builder taking the steps)
+_FIGURES = {
+    1: ("fig-wigner", 81, _figure_wigner),
+    2: ("fig-css", 61, partial(_figure_family, "css", 0.05, 3.0)),
+    3: ("fig-psv", 61, partial(_figure_family, "psv", 0.05, 2.5)),
+    4: ("fig-dfs", 61, partial(_figure_family, "dfs", 0.0, 4.0)),
+    5: ("fig-noise-css", 21, partial(_figure_noise, "css")),
+    6: ("fig-noise-psv", 21, partial(_figure_noise, "psv")),
+    7: ("fig-noise-dfs", 21, partial(_figure_noise, "dfs")),
+    8: ("fig-summary", 21, _figure_summary),
+}
+
+FIGURE_ALIASES = {alias: fig_id for fig_id, (alias, _, _) in _FIGURES.items()}
 
 
 def run_figure(figure, steps: int | None = None) -> ResultTable:
     """Emit the data table behind one reference figure (1-8 or alias)."""
     key = str(figure)
-    if key in FIGURE_ALIASES:
-        fig_id = FIGURE_ALIASES[key]
-    else:
-        try:
-            fig_id = int(key)
-        except ValueError:
-            raise InvalidArgumentError(f"unknown figure {figure!r}") from None
-    if fig_id not in range(1, 9):
+    try:
+        fig_id = FIGURE_ALIASES.get(key) or int(key)
+    except ValueError:
+        raise InvalidArgumentError(f"unknown figure {figure!r}") from None
+    if fig_id not in _FIGURES:
         raise InvalidArgumentError(f"figure id must be 1..8, got {fig_id}")
-    n = _DEFAULT_STEPS[fig_id] if steps is None else steps
+    _, default_steps, table = _FIGURES[fig_id]
+    n = default_steps if steps is None else steps
     if n < 1:
         raise InvalidArgumentError(f"steps must be >= 1, got {n}")
-    if fig_id == 1:
-        return _figure_wigner(n)
-    if fig_id == 2:
-        return _figure_family("css", 0.05, 3.0, n)
-    if fig_id == 3:
-        return _figure_family("psv", 0.05, 2.5, n)
-    if fig_id == 4:
-        return _figure_family("dfs", 0.0, 4.0, n)
-    if fig_id in (5, 6, 7):
-        return _figure_noise(("css", "psv", "dfs")[fig_id - 5], n)
-    return _figure_summary(n)
+    return table(n)

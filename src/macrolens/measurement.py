@@ -171,7 +171,8 @@ def hermite_functions(x, n_max: int):
     prev = np.zeros_like(xs)
     cur = np.full_like(xs, math.pi ** -0.25)
     expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
-    out[0] = cur * np.exp(expo + gauss_log)
+    factor = np.exp(expo + gauss_log)  # changes only when expo does
+    out[0] = cur * factor
     rescale = 120.0 * math.log(10.0)
     for n in range(n_max):
         nxt = math.sqrt(2.0 / (n + 1)) * xs * cur - math.sqrt(n / (n + 1)) * prev
@@ -180,7 +181,8 @@ def hermite_functions(x, n_max: int):
             prev[big] *= 1e-120
             cur[big] *= 1e-120
             expo[big] += rescale
-        out[n + 1] = cur * np.exp(expo + gauss_log)
+            factor = np.exp(expo + gauss_log)
+        out[n + 1] = cur * factor
     return out[:, 0] if scalar else out
 
 

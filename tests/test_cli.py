@@ -17,6 +17,7 @@ from macrolens.cli import main
 from macrolens.errors import InvalidArgumentError, MacrolensError
 from macrolens.figures import (
     ALL_MEASURES,
+    FIGURE_ALIASES,
     _SWEEP_KEYS,
     ResultTable,
     SweepSpec,
@@ -141,6 +142,9 @@ class TestFigures:
         by_alias = run_figure("fig-css", steps=5)
         by_id = run_figure(2, steps=5)
         assert by_alias.to_csv() == by_id.to_csv()
+
+    def test_alias_table_complete(self):
+        assert sorted(FIGURE_ALIASES.values()) == list(range(1, 9))
 
     def test_deterministic_output(self):
         a = run_figure(5, steps=4).to_csv()
@@ -313,6 +317,23 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith(f"macrolens-error code={code} detail=")
 
+    def test_parser_reuse_keeps_no_state(self, capsys):
+        psv = ["compute", "--family", "psv", "--r", "0.5", "--detector", "homodyne",
+               "--sigma", "0"]
+        assert main([*psv, "--m", "2"]) == 0
+        assert "# m = 2" in capsys.readouterr().out.splitlines()
+        assert main(psv) == 0
+        assert "# m = 1" in capsys.readouterr().out.splitlines()
+
+        css = ["compute", "--family", "css", "--alpha", "1", "--detector", "homodyne",
+               "--sigma", "0"]
+        assert main([*css, "--angle", "0.3", "--sign", "plus"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert (row[1], row[3]) == ("+", "0.3")
+        assert main(css) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert (row[1], row[3]) == ("-", "0")
+
     def test_missing_config_file(self, capsys):
         rc = main(["sweep", "--config", "/nonexistent.cfg"])
         assert rc == 1
@@ -396,6 +417,31 @@ class TestEnvTolerance:
         assert coherent_state(2.0).cutoff >= loose_cutoff
 
 
+class TestOutOfMemory:
+    # every first allocation here needs 74 GiB or more, so none can succeed
+    @pytest.mark.parametrize("argv", [
+        ["figure", "1", "--steps", "100000"],
+        ["figure", "2", "--steps", "100000000000"],
+        ["figure", "5", "--steps", "100000000000"],
+        ["figure", "8", "--steps", "100000000000"],
+        ["sweep", "--config", "{config}"],
+    ])
+    def test_huge_steps_diagnostic(self, tmp_path, argv):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(CONFIG.replace("steps = 31", "steps = 100000000000"))
+        argv = [a.format(config=config) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             f"import sys; from macrolens.cli import main; sys.exit(main({argv!r}))"],
+            capture_output=True, text=True, timeout=120, preexec_fn=_capped_address_space,
+            env={**os.environ, "PYTHONPATH": _package_path(), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=unsupported-range detail=")
+
+
 # Edge values for every numeric compute flag: zero, signed extremes, the ends
 # of the family ranges and just past them, and non-finite input.
 _EDGE = ["0", "1e-300", "-1e-300", "1e-9", "0.5", "2.5", "4", "4.0001", "-1",
@@ -427,6 +473,29 @@ class TestComputeFuzz:
             warnings.simplefilter("error")
             with redirect_stderr(err), redirect_stdout(io.StringIO()):
                 rc = main(argv)
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1
+            assert len(lines) == 1
+            assert _DIAGNOSTIC.match(lines[0])
+
+
+class TestFigureFuzz:
+    @given(
+        fig=st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "-1",
+                             "1.5", "", "+3", "08", " 2", "1e0", "FIG-CSS", "bogus",
+                             *FIGURE_ALIASES]),
+        steps=st.sampled_from(["-1", "0", "1", "2", "3"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exit_zero_or_one_diagnostic(self, fig, steps):
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                rc = main(["figure", fig, f"--steps={steps}"])
         lines = err.getvalue().splitlines()
         if rc == 0:
             assert lines == []
