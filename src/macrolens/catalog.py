@@ -29,9 +29,6 @@ from .fock import (
     tail_tolerance_default,
 )
 
-FAMILIES = ("css", "psv", "dfs")
-
-
 @dataclass(frozen=True)
 class TwoBranchState:
     """A B=2 branch set with its derived superpositions psi_pm."""
@@ -145,12 +142,20 @@ def dfs(alpha: float) -> TwoBranchState:
     return _two_branch(b1, b2, "dfs", {"alpha": alpha})
 
 
+# family -> (name of its swept parameter, constructor reading its own keywords)
+_FAMILY_TABLE = {
+    "css": ("alpha", lambda params: css(params["alpha"])),
+    "psv": ("r", lambda params: psv(params["r"], params.get("m", 1))),
+    "dfs": ("alpha", lambda params: dfs(params["alpha"])),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+PARAM_NAMES = {family: param for family, (param, _) in _FAMILY_TABLE.items()}
+
+
 def build(family: str, **params) -> TwoBranchState:
-    """Construct a catalog state by family name (CLI entry point)."""
-    if family == "css":
-        return css(params["alpha"])
-    if family == "psv":
-        return psv(params["r"], params.get("m", 1))
-    if family == "dfs":
-        return dfs(params["alpha"])
-    raise InvalidArgumentError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    """Construct a catalog state by family name (CLI entry point); keywords
+    the family does not take, such as ``m`` for css and dfs, are ignored."""
+    if family not in _FAMILY_TABLE:
+        raise InvalidArgumentError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _FAMILY_TABLE[family][1](params)

@@ -19,7 +19,7 @@ import functools
 import sys
 
 from ._version import __version__
-from .catalog import FAMILIES
+from .catalog import FAMILIES, PARAM_NAMES
 from .errors import InvalidArgumentError, MacrolensError
 from .figures import (
     FIGURE_ALIASES,
@@ -80,13 +80,10 @@ def _emit(table: ResultTable, fmt: str, out: str | None) -> None:
 
 
 def _compute_params(args) -> dict:
-    if args.family in ("css", "dfs"):
-        if args.alpha is None:
-            raise InvalidArgumentError(f"--family {args.family} requires --alpha")
-        return {"alpha": args.alpha}
-    if args.r is None:
-        raise InvalidArgumentError("--family psv requires --r")
-    return {"r": args.r, "m": args.m}
+    param = PARAM_NAMES[args.family]
+    if getattr(args, param) is None:
+        raise InvalidArgumentError(f"--family {args.family} requires --{param}")
+    return {param: getattr(args, param), "m": args.m}
 
 
 def main(argv=None) -> int:

@@ -8,15 +8,17 @@ whose CSV/JSON rendering a plotting tool can consume directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
 from ._version import __version__
-from .catalog import FAMILIES, TwoBranchState, build, css
+from .catalog import FAMILIES, PARAM_NAMES, TwoBranchState, build, css
 from .distinguishability import both_measures, dfs_kd_closed_form
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedRangeError
 from .fock import Ensemble, coherent_state, moments
 from .macroscopicity import n_fluct, report
 from .measurement import DetectorModel, wigner
@@ -24,6 +26,15 @@ from .measurement import DetectorModel, wigner
 CONVENTION = "x=(a+adag)/sqrt(2); p=(a-adag)/(i*sqrt(2)); vacuum var=1/2"
 
 ALL_MEASURES = ("n_fluct", "mean_n", "d_bc", "d_kd", "m_bc", "m_kd")
+
+# numpy cannot even size a float64 array of about sys.maxsize / 8 entries and
+# raises ValueError; below this bound a grid too large fails as MemoryError
+_MAX_STEPS = sys.maxsize // 16
+
+
+def _check_steps_bound(steps: int) -> None:
+    if steps > _MAX_STEPS:
+        raise UnsupportedRangeError(f"steps must be <= {_MAX_STEPS}, got {steps}")
 
 
 def _fmt(value) -> str:
@@ -101,8 +112,11 @@ class SweepSpec:
             raise InvalidArgumentError(f"unknown family {self.family!r}")
         if self.steps < 2:
             raise InvalidArgumentError("steps must be >= 2")
+        _check_steps_bound(self.steps)
         if not self.start < self.stop:
             raise InvalidArgumentError("start must be less than stop")
+        if not math.isfinite(self.stop - self.start):
+            raise InvalidArgumentError("stop - start must be finite")
         if any(s < 0 for s in self.sigmas) or not self.sigmas:
             raise InvalidArgumentError("sigma entries must be >= 0")
         unknown = set(self.measures) - set(ALL_MEASURES)
@@ -112,18 +126,19 @@ class SweepSpec:
             raise InvalidArgumentError(f"unknown format {self.fmt!r}")
 
 
+# config key -> (SweepSpec field, parser of the value text)
 _SWEEP_KEYS = {
-    "family": str,
-    "start": float,
-    "stop": float,
-    "steps": int,
-    "detector": str,
-    "sigma": lambda text: tuple(float(v) for v in text.split(",")),
-    "angle": float,
-    "m": int,
-    "measures": lambda text: tuple(v.strip() for v in text.split(",")),
-    "out": str,
-    "format": str,
+    "family": ("family", str),
+    "start": ("start", float),
+    "stop": ("stop", float),
+    "steps": ("steps", int),
+    "detector": ("detector", str),
+    "sigma": ("sigmas", lambda text: tuple(float(v) for v in text.split(","))),
+    "angle": ("angle", float),
+    "m": ("m", int),
+    "measures": ("measures", lambda text: tuple(v.strip() for v in text.split(","))),
+    "out": ("out", str),
+    "format": ("fmt", str),
 }
 
 
@@ -132,7 +147,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
     Unknown keys are errors; '#' starts a comment line.
     """
-    raw = {}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -143,34 +158,20 @@ def parse_sweep_config(text: str) -> SweepSpec:
         key, value = key.strip(), value.strip()
         if key not in _SWEEP_KEYS:
             raise InvalidArgumentError(f"unknown config key {key!r} (line {lineno})")
-        if key in raw:
+        name, parse = _SWEEP_KEYS[key]
+        if name in values:
             raise InvalidArgumentError(f"duplicate config key {key!r} (line {lineno})")
         try:
-            raw[key] = _SWEEP_KEYS[key](value)
+            values[name] = parse(value)
         except ValueError:
             raise InvalidArgumentError(
                 f"bad value {value!r} for config key {key!r} (line {lineno})"
             ) from None
-    for required in ("family", "start", "stop", "steps", "detector", "sigma"):
-        if required not in raw:
-            raise InvalidArgumentError(f"config is missing the {required!r} key")
-    return SweepSpec(
-        family=raw["family"],
-        start=raw["start"],
-        stop=raw["stop"],
-        steps=raw["steps"],
-        detector=raw["detector"],
-        sigmas=raw["sigma"],
-        angle=raw.get("angle"),
-        m=raw.get("m", 1),
-        measures=raw.get("measures", ALL_MEASURES),
-        out=raw.get("out"),
-        fmt=raw.get("format", "csv"),
-    )
-
-
-def _param_name(family: str) -> str:
-    return "r" if family == "psv" else "alpha"
+    required = {f.name for f in fields(SweepSpec) if f.default is MISSING}
+    for key, (name, _) in _SWEEP_KEYS.items():
+        if name in required and name not in values:
+            raise InvalidArgumentError(f"config is missing the {key!r} key")
+    return SweepSpec(**values)
 
 
 def _detector(kind: str, sigma: float, angle: float | None = None) -> DetectorModel:
@@ -211,9 +212,7 @@ def _evaluate(family: str, values, detectors, m: int = 1) -> list:
     once per detector; every sweep and figure 2-8 table is a layout of these."""
     points = []
     for value in values:
-        kwargs = {"m": m} if family == "psv" else {}
-        kwargs[_param_name(family)] = float(value)
-        state = build(family, **kwargs)
+        state = build(family, **{PARAM_NAMES[family]: float(value)}, m=m)
         psis = (state.psi_plus, state.psi_minus)
         points.append(_Point(
             value=float(value),
@@ -231,13 +230,13 @@ def compute(family: str, params: dict, detector: str, sigma: float,
     state = build(family, **params)
     det = _detector(detector, sigma, angle)
     rep = report(state, sign, det)
-    param = state.params[_param_name(family)]
+    param = PARAM_NAMES[family]
     columns = [
-        "family", "sign", "detector", "angle", "sigma", _param_name(family),
+        "family", "sign", "detector", "angle", "sigma", param,
         "mean_n", "n_fluct", "d_bc", "d_kd", "m_bc", "m_kd",
     ]
     row = [
-        family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, param,
+        family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, state.params[param],
         rep.mean_n, rep.n_fluct, rep.d_bc, rep.d_kd, rep.m_bc, rep.m_kd,
     ]
     meta = _base_metadata(cutoff=_max_cutoff(state))
@@ -248,7 +247,7 @@ def compute(family: str, params: dict, detector: str, sigma: float,
 
 def sweep(spec: SweepSpec) -> ResultTable:
     """Cartesian product of parameter x sigma rows, ascending in both."""
-    columns = [_param_name(spec.family), "sigma"]
+    columns = [PARAM_NAMES[spec.family], "sigma"]
     for measure in spec.measures:
         if measure in ("d_bc", "d_kd"):
             columns.append(measure)
@@ -310,7 +309,7 @@ def _figure_family(family: str, start: float, stop: float, steps: int) -> Result
     """N(psi_pm) and ideal-detector distinguishabilities vs the family parameter."""
     homodyne, pnrd = DetectorModel.homodyne(), DetectorModel.pnrd()
     points = _evaluate(family, np.linspace(start, stop, steps), (homodyne, pnrd))
-    param = _param_name(family)
+    param = PARAM_NAMES[family]
     if family == "dfs":
         columns = [
             param, "n_plus", "n_minus",
@@ -336,7 +335,7 @@ def _figure_family(family: str, start: float, stop: float, steps: int) -> Result
 
 def _figure_noise(family: str, steps: int) -> ResultTable:
     """Kolmogorov distinguishability vs detector resolution sigma."""
-    param, values = _param_name(family), (0.5, 1.0, 2.0)
+    param, values = PARAM_NAMES[family], (0.5, 1.0, 2.0)
     sigmas = [float(s) for s in np.linspace(0.0, 4.0, steps)]
     kinds = ("homodyne", "pnrd") if family == "dfs" else ("homodyne",)
     columns = ["sigma"]
@@ -424,4 +423,5 @@ def run_figure(figure, steps: int | None = None) -> ResultTable:
     n = default_steps if steps is None else steps
     if n < 1:
         raise InvalidArgumentError(f"steps must be >= 1, got {n}")
+    _check_steps_bound(n)
     return table(n)

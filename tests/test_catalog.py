@@ -20,7 +20,7 @@ from macrolens import (
     squeezed_vacuum,
     subtract_photons,
 )
-from macrolens.catalog import FAMILIES, _log_core_norm, _subtract
+from macrolens.catalog import FAMILIES, PARAM_NAMES, _log_core_norm, _subtract
 from macrolens.errors import (
     DegenerateSubtractionError,
     InvalidArgumentError,
@@ -169,6 +169,7 @@ class TestBuild:
         assert build("psv", r=1.0).family == "psv"
         assert build("dfs", alpha=1.0).family == "dfs"
         assert FAMILIES == ("css", "psv", "dfs")
+        assert PARAM_NAMES == {"css": "alpha", "psv": "r", "dfs": "alpha"}
 
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):

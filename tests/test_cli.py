@@ -7,10 +7,12 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macrolens.cli import main
@@ -72,8 +74,35 @@ class TestSweepConfig:
         assert spec.family == "css"
         assert spec.steps == 31
         assert spec.sigmas == (0.0, 0.5, 1.0)
+        assert spec.angle is None
+        assert spec.m == 1
         assert spec.measures == ALL_MEASURES
+        assert spec.out is None
         assert spec.fmt == "csv"
+
+    def test_key_table_names_each_field_once(self):
+        names = [name for name, _ in _SWEEP_KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in fields(SweepSpec))
+
+    @pytest.mark.parametrize("key", ["family", "start", "stop", "steps", "detector", "sigma"])
+    def test_missing_key_named(self, key):
+        kept = "".join(f"{l}\n" for l in CONFIG.splitlines() if not l.startswith(key))
+        with pytest.raises(InvalidArgumentError, match=f"^config is missing the '{key}' key$"):
+            parse_sweep_config(kept)
+
+    def test_readme_example(self):
+        # the README's example parses, names every config key, and shows
+        # each optional key with a value that gives the default table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        given_keys = re.findall(r"^(\w+) =", block, re.M)
+        optional = re.findall(r"^#\s+(\w+ = .*?)(?:\s{2,}.*)?$", block, re.M)
+        documented = given_keys + [line.split()[0] for line in optional]
+        assert sorted(documented) == sorted(_SWEEP_KEYS)
+        spec = parse_sweep_config(block)
+        explicit = parse_sweep_config(block + "".join(f"{line}\n" for line in optional))
+        assert explicit.out == "-" and spec.out is None
+        assert sweep(explicit).to_csv() == sweep(spec).to_csv()
 
     def test_unknown_key(self):
         with pytest.raises(InvalidArgumentError, match="unknown config key"):
@@ -102,6 +131,9 @@ class TestSweepConfig:
     def test_spec_validation(self):
         with pytest.raises(InvalidArgumentError):
             SweepSpec("css", 1.0, 0.5, 10, "homodyne", (0.0,))
+        for start, stop in ((0.5, float("inf")), (-1e308, 1e308)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                SweepSpec("css", start, stop, 10, "homodyne", (0.0,))
         with pytest.raises(InvalidArgumentError):
             SweepSpec("css", 0.5, 1.0, 10, "homodyne", (0.0,), measures=("bogus",))
 
@@ -135,6 +167,14 @@ class TestCompute:
         row = dict(zip(table.columns, table.rows[0]))
         assert row["sign"] == "-"
         assert row["m_kd"] == pytest.approx(row["n_fluct"] * row["d_kd"], abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["css", "dfs"])
+    def test_m_ignored_outside_psv(self, family, capsys):
+        # only psv subtracts photons; css and dfs ignore --m, whatever its value
+        rc = main(["compute", "--family", family, "--alpha", "1", "--m", "0",
+                   "--detector", "pnrd", "--sigma", "0"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFigures:
@@ -418,18 +458,26 @@ class TestEnvTolerance:
 
 
 class TestOutOfMemory:
-    # every first allocation here needs 74 GiB or more, so none can succeed
+    # every first allocation here needs 74 GiB or more, so none can succeed;
+    # numpy cannot even size the arrays of the cases past sys.maxsize // 16
     @pytest.mark.parametrize("argv", [
         ["figure", "1", "--steps", "100000"],
         ["figure", "2", "--steps", "100000000000"],
         ["figure", "5", "--steps", "100000000000"],
         ["figure", "8", "--steps", "100000000000"],
         ["sweep", "--config", "{config}"],
+        ["figure", "2", "--steps", str(10**19)],
+        ["figure", "1", "--steps", str(10**30)],
+        ["figure", "3", "--steps", str(2 * 10**18)],
+        ["sweep", "--config", "{unsizable}"],
+        ["sweep", "--config", "{largest}"],
     ])
     def test_huge_steps_diagnostic(self, tmp_path, argv):
-        config = tmp_path / "sweep.cfg"
-        config.write_text(CONFIG.replace("steps = 31", "steps = 100000000000"))
-        argv = [a.format(config=config) for a in argv]
+        configs = {"config": 10**11, "unsizable": 10**19, "largest": sys.maxsize // 16}
+        paths = {name: tmp_path / f"{name}.cfg" for name in configs}
+        for name, steps in configs.items():
+            paths[name].write_text(CONFIG.replace("steps = 31", f"steps = {steps}"))
+        argv = [a.format(**paths) for a in argv]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-c",
              f"import sys; from macrolens.cli import main; sys.exit(main({argv!r}))"],
@@ -447,6 +495,23 @@ class TestOutOfMemory:
 _EDGE = ["0", "1e-300", "-1e-300", "1e-9", "0.5", "2.5", "4", "4.0001", "-1",
          "nan", "inf", "1e150", "1e308"]
 _DIAGNOSTIC = re.compile(r"macrolens-error code=\S+ detail=")
+
+
+def _assert_exit_zero_or_one_diagnostic(argv):
+    """Run ``main(argv)`` in-process with warnings as errors: it must exit 0
+    with an empty stderr, or 1 with exactly one diagnostic line."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1
+        assert len(lines) == 1
+        assert _DIAGNOSTIC.match(lines[0])
 
 
 class TestComputeFuzz:
@@ -468,18 +533,7 @@ class TestComputeFuzz:
                 "--detector", detector, f"--sigma={sigma}", "--sign", sign]
         if angle is not None:
             argv.append(f"--angle={angle}")
-        err = io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                rc = main(argv)
-        lines = err.getvalue().splitlines()
-        if rc == 0:
-            assert lines == []
-        else:
-            assert rc == 1
-            assert len(lines) == 1
-            assert _DIAGNOSTIC.match(lines[0])
+        _assert_exit_zero_or_one_diagnostic(argv)
 
 
 class TestFigureFuzz:
@@ -491,15 +545,36 @@ class TestFigureFuzz:
     )
     @settings(max_examples=100, deadline=None)
     def test_exit_zero_or_one_diagnostic(self, fig, steps):
-        err = io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                rc = main(["figure", fig, f"--steps={steps}"])
-        lines = err.getvalue().splitlines()
-        if rc == 0:
-            assert lines == []
-        else:
-            assert rc == 1
-            assert len(lines) == 1
-            assert _DIAGNOSTIC.match(lines[0])
+        _assert_exit_zero_or_one_diagnostic(["figure", fig, f"--steps={steps}"])
+
+
+class TestSweepFuzz:
+    @given(
+        family=st.sampled_from(["css", "psv", "dfs", "ghz"]),
+        start=st.sampled_from(["-1e308", "-1", "0", "0.05", "1", "nan", "inf", "abc"]),
+        stop=st.sampled_from(["0.5", "2.5", "4.5", "1e308", "inf", "nan"]),
+        steps=st.sampled_from(["-1", "0", "1", "2", "3", "1.5", str(10**19)]),
+        detector=st.sampled_from(["homodyne", "pnrd", "bogus"]),
+        sigma=st.sampled_from(["0", "0, 1", "-1", "1e-9", "1e300", "abc", "inf", "nan"]),
+        optional=st.lists(st.sampled_from([
+            "angle = 1e308", "angle = nan", "m = 0", "m = 5", "m = 100",
+            "measures = d_kd, bogus", "format = yaml",
+        ]), unique_by=lambda line: line.split()[0], max_size=4),
+    )
+    # the known holes, each with every other key valid: two ranges whose width
+    # is not finite, and a grid too large for numpy to size
+    @example(family="css", start="0", stop="inf", steps="2",
+             detector="homodyne", sigma="0", optional=[])
+    @example(family="css", start="-1e308", stop="1e308", steps="2",
+             detector="homodyne", sigma="0", optional=[])
+    @example(family="css", start="0.05", stop="2.5", steps=str(10**19),
+             detector="homodyne", sigma="0", optional=[])
+    @settings(max_examples=100, deadline=None)
+    def test_exit_zero_or_one_diagnostic(self, tmp_path_factory, family, start, stop,
+                                         steps, detector, sigma, optional):
+        config = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+        config.write_text("".join(f"{line}\n" for line in [
+            f"family = {family}", f"start = {start}", f"stop = {stop}",
+            f"steps = {steps}", f"detector = {detector}", f"sigma = {sigma}", *optional,
+        ]))
+        _assert_exit_zero_or_one_diagnostic(["sweep", "--config", str(config)])
