@@ -22,19 +22,21 @@ from functools import partial
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, MacrolensError
-from .fock import Ensemble, FockVector, pad_to_cutoff
+from .fock import Ensemble, FockVector
 from .measurement import (
     HOMODYNE,
-    PNRD,
     DetectorModel,
     Pdf,
     Pmf,
-    blur_pdf,
-    blur_pmf,
+    blur_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
+    blur_pdfs,
+    blur_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
+    blur_pmfs,
     default_homodyne_grid,
     homodyne_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     homodyne_pdfs,
-    pnrd_pmf,
+    pnrd_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
+    pnrd_pmfs,
 )
 
 log = logging.getLogger(__name__)
@@ -146,18 +148,10 @@ def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list
     branches = branch_set.branches
     if detector.kind == HOMODYNE:
         grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
-        dists = homodyne_pdfs(branches, detector.angle, grid)
-        if detector.sigma > 0.0:
-            dists = [blur_pdf(d, detector.sigma) for d in dists]
-        return dists
-    assert detector.kind == PNRD
-    cutoff = max(b.cutoff for b in branches)
-    pmfs = [pnrd_pmf(pad_to_cutoff(b, cutoff)) for b in branches]
-    if detector.sigma > 0.0:
-        # one shared effective support keeps all branches on the same grid
-        top = max(int(p.support[-1]) for p in pmfs)
-        return [blur_pmf(p, detector.sigma, n_max=top) for p in pmfs]
-    return pmfs
+        rows, blur = homodyne_pdfs(branches, detector.angle, grid), blur_pdfs
+    else:
+        rows, blur = pnrd_pmfs(branches), blur_pmfs
+    return blur(rows, detector.sigma) if detector.sigma > 0.0 else rows
 
 
 def both_measures(branch_set: BranchSet, detector: DetectorModel) -> tuple[float, float]:

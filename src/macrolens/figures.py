@@ -187,6 +187,11 @@ def _base_metadata(**extra) -> dict:
     return meta
 
 
+def _fixed_params(state: TwoBranchState) -> dict:
+    """The state's parameters other than the swept one (psv's m)."""
+    return {k: v for k, v in state.params.items() if k != PARAM_NAMES[state.family]}
+
+
 def _max_cutoff(state: TwoBranchState) -> int:
     return max(
         state.psi_plus.cutoff,
@@ -205,6 +210,7 @@ class _Point:
     mean_n: tuple
     d_by_detector: dict
     cutoff: int
+    fixed_params: dict
 
 
 def _evaluate(family: str, values, detectors, m: int = 1) -> list:
@@ -220,6 +226,7 @@ def _evaluate(family: str, values, detectors, m: int = 1) -> list:
             mean_n=tuple(moments(psi).mean_n for psi in psis),
             d_by_detector={det: both_measures(state.branch_set, det) for det in detectors},
             cutoff=_max_cutoff(state),
+            fixed_params=_fixed_params(state),
         ))
     return points
 
@@ -239,9 +246,7 @@ def compute(family: str, params: dict, detector: str, sigma: float,
         family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, state.params[param],
         rep.mean_n, rep.n_fluct, rep.d_bc, rep.d_kd, rep.m_bc, rep.m_kd,
     ]
-    meta = _base_metadata(cutoff=_max_cutoff(state))
-    if family == "psv":
-        meta["m"] = state.params["m"]
+    meta = _base_metadata(cutoff=_max_cutoff(state), **_fixed_params(state))
     return ResultTable(columns, [row], meta)
 
 
@@ -274,9 +279,8 @@ def sweep(spec: SweepSpec) -> ResultTable:
         family=spec.family,
         detector=spec.detector,
         max_cutoff=max(p.cutoff for p in points),
+        **points[0].fixed_params,
     )
-    if spec.family == "psv":
-        meta["m"] = spec.m
     return ResultTable(columns, rows, meta)
 
 

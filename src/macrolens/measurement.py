@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     GridCoverageError,
+    GridMismatchError,
     InvalidArgumentError,
     UnsupportedRangeError,
     UsePmfDirectly,
@@ -241,62 +242,59 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     return Pdf(*grid, sum(w * p.values for w, p in zip(weights, pdfs)))
 
 
+def pnrd_pmfs(states) -> list[Pmf]:
+    """Photon-count distributions P(n) = |c_n|^2 of pure states, padded to one cutoff."""
+    cutoff = max(s.cutoff for s in states)
+    amplitudes = np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
+    return [Pmf(p) for p in np.abs(amplitudes) ** 2]
+
+
 def pnrd_pmf(subject) -> Pmf:
     """Photon-count distribution P(n) = |c_n|^2 (weight-averaged for mixtures)."""
-    comps = _components(subject)
-    cutoff = max(s.cutoff for _, s in comps)
-    probs = np.zeros(cutoff)
-    for weight, state in comps:
-        probs[: state.cutoff] += weight * np.abs(state.amplitudes) ** 2
-    return Pmf(probs)
+    weights, states = zip(*_components(subject))
+    return Pmf(sum(w * p.probabilities for w, p in zip(weights, pnrd_pmfs(states))))
 
 
-def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
-    """Convolve a Pdf with a Gaussian kernel of width sigma.
-
-    The grid is extended by 6 sigma on both sides so no mass leaves it.
-    """
+def blur_pdfs(pdfs, sigma: float) -> list[Pdf]:
+    """Convolve Pdfs that share one grid with one Gaussian kernel of width
+    sigma, extending the grid by 6 sigma on both sides so no mass leaves it."""
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
-        return pdf
-    _check_grid(pdf.grid_min - 6.0 * sigma, pdf.grid_max + 6.0 * sigma)
-    dx = pdf.dx
+        return list(pdfs)
+    first = pdfs[0]
+    if not all(first.same_grid(p) for p in pdfs):
+        raise GridMismatchError("pdfs live on different grids")
+    _check_grid(first.grid_min - 6.0 * sigma, first.grid_max + 6.0 * sigma)
+    dx = first.dx
     pad = math.ceil(6.0 * sigma / dx)
-    values = np.concatenate([np.zeros(pad), pdf.values, np.zeros(pad)])
+    rows = np.pad(np.stack([p.values for p in pdfs]), ((0, 0), (pad, pad)))
     offsets = np.arange(-pad, pad + 1) * dx
     with np.errstate(over="ignore"):  # an overflowing exponent gives exactly 0
         kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()  # discrete normalization preserves sum(v)*dx
-    blurred = np.convolve(values, kernel, mode="same")
-    return Pdf(
-        pdf.grid_min - pad * dx,
-        pdf.grid_max + pad * dx,
-        pdf.n_points + 2 * pad,
-        blurred,
-    )
+    grid = (first.grid_min - pad * dx, first.grid_max + pad * dx, first.n_points + 2 * pad)
+    return [Pdf(*grid, np.convolve(row, kernel, mode="same")) for row in rows]
 
 
-def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
-    """Continuous distribution from a Pmf read out with Gaussian noise.
+def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
+    """Convolve a Pdf with a Gaussian kernel of width sigma (see blur_pdfs)."""
+    return blur_pdfs([pdf], sigma)[0]
 
-    The result lives on lambda in [-6 sigma, n_max + 6 sigma] and is a
-    mixture of Gaussians of width sigma centered on the integer outcomes.
-    ``n_max`` defaults to the largest outcome with non-negligible weight;
-    pass it explicitly to place several Pmfs on one shared grid.
-    """
+
+def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
+    """Pmfs read out with Gaussian noise: mixtures of width-sigma Gaussians
+    centered on the integer outcomes, on one grid over lambda in
+    [-6 sigma, top + 6 sigma], top being the largest significant outcome of any Pmf."""
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
         raise UsePmfDirectly("sigma = 0: keep using the discrete Pmf")
-    probs = pmf.probabilities
-    significant = pmf.support
+    supports = [p.support for p in pmfs]
     # The grid covers the effective support only, with a step fixed at
-    # sigma/16: grids built from slightly different supports (e.g. after
-    # zero-padding the Pmf at a larger Fock cutoff) then share their sample
-    # points and agree to the tail mass beyond 6 sigma.
+    # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
     lo = -6.0 * sigma
-    top = int(significant[-1]) if n_max is None else int(n_max)
+    top = max(int(s[-1]) for s in supports)
     _check_grid(lo, top + 6.0 * sigma)
     step = sigma / 16.0
     if top + 6.0 * sigma - lo > _MAX_BLUR_POINTS * step:
@@ -309,15 +307,23 @@ def blur_pmf(pmf: Pmf, sigma: float, n_max: int | None = None) -> Pdf:
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     if not math.isfinite(norm * norm):  # an overlap multiplies two densities
         raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
-    values = np.zeros(n_points)
+    # outside a row's own support its weight is 0, and adding +0.0 changes no bit
+    scale = np.zeros((len(pmfs), top + 1))
+    for row, pmf, support in zip(scale, pmfs, supports):
+        row[support] = pmf.probabilities[support] * norm
+    values = np.zeros((len(pmfs), n_points))
     # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
     # beyond that it is below e^-40.5 of its peak.
-    band = 144
-    for n in significant:
+    for n in np.flatnonzero(scale.any(axis=0)):
         centre = round((n - lo) / step)
-        window = slice(max(0, centre - band), centre + band + 1)
-        values[window] += probs[n] * norm * np.exp(-0.5 * ((xs[window] - n) / sigma) ** 2)
-    return Pdf(lo, hi, n_points, values)
+        window = slice(max(0, centre - 144), centre + 145)
+        values[:, window] += scale[:, n, None] * np.exp(-0.5 * ((xs[window] - n) / sigma) ** 2)
+    return [Pdf(lo, hi, n_points, v) for v in values]
+
+
+def blur_pmf(pmf: Pmf, sigma: float) -> Pdf:
+    """One Pmf read out with Gaussian noise of width sigma (see blur_pmfs)."""
+    return blur_pmfs([pmf], sigma)[0]
 
 
 @dataclass(frozen=True)

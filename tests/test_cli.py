@@ -578,3 +578,36 @@ class TestSweepFuzz:
             f"steps = {steps}", f"detector = {detector}", f"sigma = {sigma}", *optional,
         ]))
         _assert_exit_zero_or_one_diagnostic(["sweep", "--config", str(config)])
+
+    # valid configs only, so every draw reaches _evaluate and both detectors
+    @given(
+        family_range=st.sampled_from([
+            ("css", "0.05", "4"), ("css", "1", "2.5"), ("psv", "0.05", "2.5"),
+            ("psv", "1", "2"), ("dfs", "0", "4"), ("dfs", "0.5", "1.5"),
+        ]),
+        steps=st.sampled_from(["2", "3"]),
+        detector=st.sampled_from(["homodyne", "pnrd"]),
+        sigmas=st.lists(st.sampled_from(["0", "0.5", "2"]), min_size=1, max_size=3,
+                        unique=True),
+        m=st.sampled_from(["1", "2"]),
+    )
+    @example(family_range=("psv", "1", "2.5"), steps="2", detector="pnrd",
+             sigmas=["0.5", "2"], m="2")
+    @settings(max_examples=20, deadline=None)
+    def test_valid_config_exits_zero(self, tmp_path_factory, family_range, steps,
+                                     detector, sigmas, m):
+        family, start, stop = family_range
+        config = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+        config.write_text("".join(f"{line}\n" for line in [
+            f"family = {family}", f"start = {start}", f"stop = {stop}", f"steps = {steps}",
+            f"detector = {detector}", f"sigma = {', '.join(sigmas)}",
+            *([f"m = {m}"] if family == "psv" else []),
+        ]))
+        err, out = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err), redirect_stdout(out):
+                rc = main(["sweep", "--config", str(config)])
+        assert (rc, err.getvalue()) == (0, "")
+        data = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+        assert len(data) == 1 + int(steps) * len(sigmas)

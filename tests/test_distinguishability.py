@@ -16,6 +16,7 @@ from macrolens import (
     both_measures,
     coherent_state,
     complement_mixture,
+    css,
     d_bc,
     d_kd,
     dfs,
@@ -30,8 +31,9 @@ from macrolens import (
     pnrd_pmf,
     psv,
 )
-from macrolens.distinguishability import _clamp01
-from macrolens.measurement import blur_pdf, blur_pmf, default_homodyne_grid
+from macrolens import distinguishability
+from macrolens.distinguishability import _clamp01, branch_distributions
+from macrolens.measurement import blur_pdf, blur_pmf, blur_pmfs, default_homodyne_grid
 from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
 
 
@@ -40,6 +42,31 @@ def gaussian_pdf(mu, var, grid=(-20.0, 20.0, 4001)):
     xs = np.linspace(lo, hi, n)
     vals = np.exp(-((xs - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
     return Pdf(lo, hi, n, vals)
+
+
+def blur_one_branch_at_a_time(branches, sigma):
+    """Blurred PNRD rows built branch by branch, kept as an oracle: pad each
+    branch to the largest cutoff, take |c_n|^2, and add each outcome's
+    Gaussian window to that branch's own row on the grid of the largest
+    significant outcome of any branch."""
+    cutoff = max(b.cutoff for b in branches)
+    probs = [np.abs(np.pad(b.amplitudes, (0, cutoff - b.cutoff))) ** 2 for b in branches]
+    supports = [np.nonzero(p > p.max() * 1e-16)[0] for p in probs]
+    top = max(int(s[-1]) for s in supports)
+    lo, step = -6.0 * sigma, sigma / 16.0
+    n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
+    hi = lo + (n_points - 1) * step
+    xs = np.linspace(lo, hi, n_points)
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    rows = []
+    for p, support in zip(probs, supports):
+        values = np.zeros(n_points)
+        for n in support:
+            centre = round((n - lo) / step)
+            window = slice(max(0, centre - 144), centre + 145)
+            values[window] += p[n] * norm * np.exp(-0.5 * ((xs[window] - n) / sigma) ** 2)
+        rows.append(values)
+    return lo, hi, rows
 
 
 def two_coherent_branches(alpha):
@@ -160,6 +187,43 @@ class TestBranchMeasures:
         both_measures(psv(1.0).branch_set, DetectorModel.homodyne(sigma=0.5))
         assert len(calls) == 1
 
+    def test_one_blur_table_per_branch_set(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return blur_pmfs(*args, **kwargs)
+
+        # the one-row view blur_pmf looks blur_pmfs up in measurement
+        monkeypatch.setattr(measurement, "blur_pmfs", counting)
+        monkeypatch.setattr(distinguishability, "blur_pmfs", counting)
+        both_measures(psv(1.0).branch_set, DetectorModel.pnrd(sigma=1.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [lambda: psv(2.5), lambda: dfs(2.0), lambda: css(1.5)],
+                             ids=["psv", "dfs", "css"])
+    def test_blurred_pnrd_matches_per_branch_loop(self, make):
+        branch_set = make().branch_set
+        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=1.0))
+        lo, hi, rows = blur_one_branch_at_a_time(branch_set.branches, 1.0)
+        for dist, row in zip(dists, rows, strict=True):
+            assert (dist.grid_min, dist.grid_max) == (lo, hi)
+            assert np.array_equal(dist.values, row)
+
+    def test_blurred_pnrd_unequal_cutoffs(self):
+        # cutoffs 4 and 41 whose supports barely overlap: each row lives on
+        # the shared grid and agrees with its branch blurred alone; the grid
+        # starts at -6 sigma, so each row misses its tail mass below that
+        bs = BranchSet(np.sqrt([0.5, 0.5]), (fock_state(0, 4), coherent_state(3.0)))
+        dists = branch_distributions(bs, DetectorModel.pnrd(sigma=0.5))
+        for dist, branch in zip(dists, bs.branches, strict=True):
+            assert dist.same_grid(dists[0])
+            assert dist.integral() == pytest.approx(1.0, abs=1e-8)
+            alone = blur_pmf(pnrd_pmf(branch), 0.5)
+            assert alone.grid_min == dist.grid_min
+            assert alone.dx == pytest.approx(dist.dx, rel=1e-12)
+            assert np.allclose(dist.values[: alone.n_points], alone.values, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("detector", [
         DetectorModel.homodyne(sigma=0.5),
         DetectorModel.pnrd(),
@@ -178,19 +242,19 @@ class TestBranchMeasures:
             parts = subject.components if isinstance(subject, Ensemble) else [(1.0, subject)]
             return pnrd_pmf(Ensemble(tuple((w, pad_to_cutoff(s, cutoff)) for w, s in parts)))
 
-        top = max(int(pmf(b).support[-1]) for b in bs.branches)
-
-        def dist(subject):
+        def dists(branch, complement):
+            # a branch and its complement cover the union of all supports,
+            # so the pair lands on the grid of the whole branch set
             if detector.kind == "homodyne":
                 grid = default_homodyne_grid(bs.branches, 0.0, detector.sigma)
-                return blur_pdf(homodyne_pdf(subject, grid=grid), detector.sigma)
-            if detector.sigma > 0.0:
-                return blur_pmf(pmf(subject), detector.sigma, n_max=top)
-            return pmf(subject)
+                return [blur_pdf(homodyne_pdf(s, grid=grid), detector.sigma)
+                        for s in (branch, complement)]
+            pmfs = [pmf(branch), pmf(complement)]
+            return blur_pmfs(pmfs, detector.sigma) if detector.sigma > 0.0 else pmfs
 
         bc, kd = 0.0, 0.0
         for k, (w, branch) in enumerate(zip(bs.weights, bs.branches)):
-            p, q = dist(branch), dist(complement_mixture(bs, k))
+            p, q = dists(branch, complement_mixture(bs, k))
             bc += w * (1.0 - bhattacharyya_coeff(p, q))
             kd += w * kolmogorov_distance(p, q)
         assert both_measures(bs, detector) == pytest.approx((bc, kd), abs=1e-12)

@@ -21,11 +21,12 @@ from macrolens import (
 )
 from macrolens.errors import (
     GridCoverageError,
+    GridMismatchError,
     InvalidArgumentError,
     UnsupportedRangeError,
     UsePmfDirectly,
 )
-from macrolens.measurement import default_homodyne_grid
+from macrolens.measurement import blur_pdfs, blur_pmfs, default_homodyne_grid
 
 
 class TestHermiteFunctions:
@@ -124,6 +125,11 @@ class TestBlurPdf:
         pdf = blur_pdf(homodyne_pdf(coherent_state(1.0)), 2.0)
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
 
+    def test_one_kernel_needs_one_grid(self):
+        # the kernel is sampled at the grid step, so every row must share it
+        with pytest.raises(GridMismatchError):
+            blur_pdfs([homodyne_pdf(fock_state(0, 8)), homodyne_pdf(coherent_state(1.0))], 1.0)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidArgumentError):
             blur_pdf(homodyne_pdf(fock_state(0, 8)), -1.0)
@@ -149,8 +155,7 @@ class TestBlurPmf:
     def test_resolved_peaks(self):
         from macrolens import kolmogorov_distance
 
-        two = blur_pmf(Pmf(np.array([0.5, 0.5])), 0.05, n_max=1)
-        one = blur_pmf(Pmf(np.array([1.0, 0.0])), 0.05, n_max=1)
+        two, one = blur_pmfs([Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0]))], 0.05)
         assert kolmogorov_distance(two, one) == pytest.approx(0.5, abs=1e-6)
 
     def test_broad_blur_mass(self):
