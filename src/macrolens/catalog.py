@@ -41,10 +41,10 @@ class TwoBranchState:
 
 
 def _two_branch(b1: FockVector, b2: FockVector, family: str,
-                params: dict) -> TwoBranchState:
+                params: dict, frame=None) -> TwoBranchState:
     coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return TwoBranchState(
-        branch_set=BranchSet(coeffs, (b1, b2)),
+        branch_set=BranchSet(coeffs, (b1, b2), frame),
         psi_plus=superpose(b1, b2, +1),
         psi_minus=superpose(b1, b2, -1),
         family=family,
@@ -75,6 +75,11 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     Homodyne detection therefore reads x (phi = 0): u and v are real with
     opposite photon parity, so at phi = pi/2 both branches share one p
     distribution and D_KD vanishes.
+
+    a^k S|0> = S (cosh r a + sinh r a^dag)^k |0>, so each branch is also S
+    applied to a core on m + 2 levels.  The branch set carries the cores as
+    its frame, from which homodyne detection at phi = 0 is evaluated in
+    closed form.
     """
     r = float(r)
     if not (0.0 <= r <= 2.5):
@@ -83,17 +88,21 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
         raise InvalidArgumentError("m must be a positive integer")
     # r = 0 is the vacuum: the subtraction below fails as degenerate
     sv = squeezed_vacuum(-r)
-    u, v = (_subtract(sv, r, k, tail_tolerance_default()) for k in (m, m + 1))
+    (u, core_u), (v, core_v) = (
+        _subtract(sv, r, k, tail_tolerance_default()) for k in (m, m + 1)
+    )
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)
     b2 = superpose(u, v, -1)
-    return _two_branch(b1, b2, "psv", {"r": r, "m": m})
+    cores = (superpose(core_u, core_v, +1), superpose(core_u, core_v, -1))
+    return _two_branch(b1, b2, "psv", {"r": r, "m": m}, frame=(r, cores))
 
 
-def _log_core_norm(r: float, m: int) -> float:
-    """log ||a^m S|0>||^2 for either sign of the squeeze.  S is unitary, so
-    this is the squared norm of (cosh r a + sinh r a^dag)^m |0>, built on
-    m + 1 levels with a rescale at each step."""
+def _core(r: float, m: int) -> tuple[FockVector, float]:
+    """The normalized core (cosh r a + sinh r a^dag)^m |0> on m + 1 levels,
+    so that a^m S|0> = S core for S = S(-r) as psv builds it, and
+    log ||a^m S|0>||^2, which is the same for either sign of the squeeze
+    (S is unitary).  The core is rescaled at each step."""
     k = np.sqrt(np.arange(1.0, m + 1))
     core = np.zeros(m + 1)
     core[0] = 1.0
@@ -103,23 +112,26 @@ def _log_core_norm(r: float, m: int) -> float:
         scale = np.abs(core).max()
         core /= scale
         log_sq += 2.0 * math.log(scale)
-    return log_sq + math.log(core @ core)
+    norm_sq = core @ core
+    return FockVector(core / math.sqrt(norm_sq)), log_sq + math.log(norm_sq)
 
 
-def _subtract(sv: FockVector, r: float, m: int, tol: float) -> FockVector:
+def _subtract(sv: FockVector, r: float, m: int, tol: float) -> tuple[FockVector, FockVector]:
     """Normalized a^m sv whose ``tail_mass`` is measured against the exact
-    norm; a tail at or above ``tol`` is unsupported."""
+    norm, and its core (see ``_core``); a tail at or above ``tol`` is
+    unsupported."""
     try:
         state, factor = subtract_photons(sv, m)
     except DegenerateSubtractionError:
         # degenerate only if the exact norm is as small as the truncated one;
         # a^m beyond the basis is lost to truncation
-        if r == 0.0 or (m < sv.cutoff and _log_core_norm(r, m) <= math.log(1e-14)):
+        if r == 0.0 or (m < sv.cutoff and _core(r, m)[1] <= math.log(1e-14)):
             raise
         raise UnsupportedRangeError(
             f"a^{m} needs more than the {sv.cutoff} levels of the squeezed vacuum"
         ) from None
-    kept = (1.0 - sv.tail_mass) * math.exp(-2.0 * math.log(factor) - _log_core_norm(r, m))
+    core, log_sq = _core(r, m)
+    kept = (1.0 - sv.tail_mass) * math.exp(-2.0 * math.log(factor) - log_sq)
     if 1.0 - kept >= tol:
         raise UnsupportedRangeError(
             f"a^{m} at r = {r} leaves a truncation tail of {1.0 - kept:.3g}, "
@@ -127,7 +139,7 @@ def _subtract(sv: FockVector, r: float, m: int, tol: float) -> FockVector:
         )
     # set on the fresh vector: rebuilding it would renormalize its amplitudes
     object.__setattr__(state, "tail_mass", max(0.0, 1.0 - kept))
-    return state
+    return state, core
 
 
 def dfs(alpha: float) -> TwoBranchState:

@@ -42,15 +42,25 @@ from .measurement import (
 log = logging.getLogger(__name__)
 
 _CLAMP_SLACK = 1e-9
+# Blurred photon counts of neighbouring outcomes overlap by exp(-1/(8 sigma^2)),
+# which is below 1e-16 for sigma up to this (about 0.058).
+_SHARP_PNRD_SIGMA = 1.0 / math.sqrt(8.0 * math.log(1e16))
 _HALVES = np.array([0.5, 0.5])
 
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Coefficients c_k and normalized branches |b_k>, k = 0..B-1."""
+    """Coefficients c_k and normalized branches |b_k>, k = 0..B-1.
+
+    An optional ``frame = (stretch, cores)`` states that branch k is also
+    S(-stretch) applied to ``cores[k]``, a FockVector on a few levels,
+    where S(-r) = exp[(r/2)(a^dag^2 - a^2)] stretches x by e^r.  Homodyne
+    detection at phi = 0 then reads the cores instead of the branches.
+    """
 
     coefficients: np.ndarray
     branches: tuple
+    frame: tuple | None = None
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=complex)
@@ -62,6 +72,8 @@ class BranchSet:
         for b in branches:
             if not isinstance(b, FockVector):
                 raise InvalidArgumentError("branches must be FockVectors")
+        if self.frame is not None and len(self.frame[1]) != len(branches):
+            raise InvalidArgumentError("frame cores and branches differ in length")
         total = float(np.sum(np.abs(coeffs) ** 2))
         if abs(total - 1.0) > 1e-10:
             raise InvalidArgumentError(f"sum |c_k|^2 = {total}, expected 1")
@@ -142,16 +154,35 @@ def error_probability(kd: float) -> float:
     return (1.0 - kd) / 2.0
 
 
+def _frame_pdfs(stretch: float, cores, grid) -> list[Pdf]:
+    """x distributions of S(-stretch) applied to each core.  S(-r) dilates
+    the x wavefunction, psi(x) = e^{-r/2} chi(x e^{-r}), so the Hermite
+    table needs only the cores' levels."""
+    lo, hi, n_points = grid
+    shrink = math.exp(-stretch)
+    pdfs = homodyne_pdfs(cores, 0.0, (lo * shrink, hi * shrink, n_points))
+    return [Pdf(lo, hi, n_points, p.values * shrink) for p in pdfs]
+
+
 def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list:
     """Per-branch outcome distributions, aligned on one shared grid and
-    blurred by the detector resolution."""
+    blurred by the detector resolution.
+
+    Homodyne detection at phi = 0 of a branch set with a frame is evaluated
+    on its cores; every other case uses the branches' Fock amplitudes.
+    Photon counting at sigma <= _SHARP_PNRD_SIGMA returns the unblurred
+    Pmfs, which equal the blurred ones to double precision.
+    """
     branches = branch_set.branches
-    if detector.kind == HOMODYNE:
-        grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
-        rows, blur = homodyne_pdfs(branches, detector.angle, grid), blur_pdfs
+    if detector.kind != HOMODYNE:
+        rows = pnrd_pmfs(branches)
+        return blur_pmfs(rows, detector.sigma) if detector.sigma > _SHARP_PNRD_SIGMA else rows
+    grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
+    if branch_set.frame is not None and detector.angle == 0.0:
+        rows = _frame_pdfs(*branch_set.frame, grid)
     else:
-        rows, blur = pnrd_pmfs(branches), blur_pmfs
-    return blur(rows, detector.sigma) if detector.sigma > 0.0 else rows
+        rows = homodyne_pdfs(branches, detector.angle, grid)
+    return blur_pdfs(rows, detector.sigma)
 
 
 def both_measures(branch_set: BranchSet, detector: DetectorModel) -> tuple[float, float]:

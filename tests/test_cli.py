@@ -313,7 +313,6 @@ class TestMain:
         ("pnrd", "1e308", "unsupported-range"),
         ("homodyne", "1e6", "grid-coverage-error"),
         ("homodyne", "1e150", "grid-coverage-error"),
-        ("pnrd", "1e-9", "unsupported-range"),
     ])
     def test_huge_sigma_diagnostic(self, capsys, detector, sigma, code):
         rc = main([
@@ -324,6 +323,24 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"macrolens-error code={code} detail=")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", ["1e-9", "1e-5", "0.05"])
+    def test_tiny_pnrd_sigma(self, capsys, sigma):
+        # neighbouring outcomes overlap by exp(-1/(8 sigma^2)) < 1e-16, so
+        # the blurred D is the sigma = 0 D
+        def measures(family, sigma):
+            rc = main([
+                "compute", "--family", family, "--alpha", "2",
+                "--detector", "pnrd", "--sigma", sigma, "--format", "json",
+            ])
+            assert rc == 0
+            doc = json.loads(capsys.readouterr().out)
+            row = dict(zip(doc["columns"], doc["rows"][0]))
+            return row["d_bc"], row["d_kd"]
+
+        for family in ("css", "dfs"):
+            assert measures(family, sigma) == measures(family, "0")
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_homodyne_sigma(self, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,10 +31,19 @@ from macrolens import (
     pad_to_cutoff,
     pnrd_pmf,
     psv,
+    scaled_cutoffs,
 )
 from macrolens import distinguishability
 from macrolens.distinguishability import _clamp01, branch_distributions
-from macrolens.measurement import blur_pdf, blur_pmf, blur_pmfs, default_homodyne_grid
+from macrolens.measurement import (
+    blur_pdf,
+    blur_pdfs,
+    blur_pmf,
+    blur_pmfs,
+    default_homodyne_grid,
+    homodyne_pdfs,
+    pnrd_pmfs,
+)
 from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
 
 
@@ -74,6 +84,18 @@ def two_coherent_branches(alpha):
         np.array([1.0, 1.0]) / math.sqrt(2),
         (coherent_state(alpha), coherent_state(-alpha)),
     )
+
+
+def recording_hermite(monkeypatch):
+    """Record the n_max of every Hermite table that measurement builds."""
+    n_maxes = []
+
+    def recording(x, n_max):
+        n_maxes.append(n_max)
+        return hermite_functions(x, n_max)
+
+    monkeypatch.setattr(measurement, "hermite_functions", recording)
+    return n_maxes
 
 
 class TestComplementMixture:
@@ -177,15 +199,9 @@ class TestBranchMeasures:
             assert d_bc(bs, det) == pytest.approx(1 - math.exp(-2 * alpha**2), abs=tol)
 
     def test_one_hermite_table_per_branch_set(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return hermite_functions(*args, **kwargs)
-
-        monkeypatch.setattr(measurement, "hermite_functions", counting)
+        n_maxes = recording_hermite(monkeypatch)
         both_measures(psv(1.0).branch_set, DetectorModel.homodyne(sigma=0.5))
-        assert len(calls) == 1
+        assert len(n_maxes) == 1
 
     def test_one_blur_table_per_branch_set(self, monkeypatch):
         calls = []
@@ -309,6 +325,83 @@ class TestBranchMeasures:
             d_kd(bs, DetectorModel.homodyne(sigma=s)) for s in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestSqueezedFrame:
+    """psv homodyne at phi = 0 reads the frame's cores; the Fock path on the
+    branches is its oracle."""
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("r", (0.05, 0.5, 1.0, 1.5, 2.0, 2.5))
+    def test_frame_matches_fock_path_at_doubled_cutoffs(self, r, m, sigma):
+        det = DetectorModel.homodyne(sigma=sigma)
+        with scaled_cutoffs(2):
+            branch_set = psv(r, m).branch_set
+            frame_bc, frame_kd = both_measures(branch_set, det)
+            fock_bc, fock_kd = both_measures(replace(branch_set, frame=None), det)
+        assert abs(frame_bc - fock_bc) <= 1e-12
+        assert abs(frame_kd - fock_kd) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_hermite_table_stops_at_the_core(self, monkeypatch, m, sigma):
+        n_maxes = recording_hermite(monkeypatch)
+        both_measures(psv(2.5, m).branch_set, DetectorModel.homodyne(sigma=sigma))
+        assert n_maxes == [m + 1]
+
+    def test_other_angles_take_the_fock_path(self, monkeypatch):
+        # u and v are real with opposite parity: one p distribution
+        n_maxes = recording_hermite(monkeypatch)
+        branch_set = psv(1.0).branch_set
+        assert d_kd(branch_set, DetectorModel.homodyne(angle=math.pi / 2)) <= 1e-12
+        assert n_maxes == [max(b.cutoff for b in branch_set.branches) - 1]
+
+    @pytest.mark.parametrize("make, angle", [
+        (lambda: psv(1.0).branch_set, 0.0),
+        (lambda: psv(1.0).branch_set, 0.3),
+        (lambda: css(1.5).branch_set, 0.0),
+        (lambda: dfs(2.0).branch_set, 0.0),
+    ], ids=["psv-0", "psv-0.3", "css", "dfs"])
+    @pytest.mark.parametrize("sigma", (0.0, 0.5))
+    def test_without_frame_the_fock_path_is_unchanged(self, make, angle, sigma):
+        branch_set = replace(make(), frame=None)
+        grid = default_homodyne_grid(branch_set.branches, angle, sigma)
+        rows = homodyne_pdfs(branch_set.branches, angle, grid)
+        expected = blur_pdfs(rows, sigma) if sigma > 0.0 else rows
+        dists = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
+        for dist, row in zip(dists, expected, strict=True):
+            assert dist.same_grid(row)
+            assert np.array_equal(dist.values, row.values)
+
+    def test_frame_needs_one_core_per_branch(self):
+        branch_set = psv(1.0).branch_set
+        stretch, cores = branch_set.frame
+        with pytest.raises(InvalidArgumentError):
+            replace(branch_set, frame=(stretch, cores[:1]))
+
+
+class TestSharpPnrd:
+    @pytest.mark.parametrize("sigma", (1e-300, 1e-9, 0.05, distinguishability._SHARP_PNRD_SIGMA))
+    def test_small_sigma_is_the_discrete_limit(self, sigma):
+        branch_set = dfs(2.0).branch_set
+        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
+        for dist, row in zip(dists, pnrd_pmfs(branch_set.branches), strict=True):
+            assert isinstance(dist, Pmf)
+            assert np.array_equal(dist.probabilities, row.probabilities)
+        assert both_measures(branch_set, DetectorModel.pnrd(sigma=sigma)) == both_measures(
+            branch_set, DetectorModel.pnrd()
+        )
+
+    def test_threshold(self):
+        # neighbouring outcomes' Gaussians overlap by exp(-1/(8 sigma^2))
+        sigma = distinguishability._SHARP_PNRD_SIGMA
+        assert math.exp(-1.0 / (8.0 * sigma**2)) == pytest.approx(1e-16, rel=1e-12)
+        branch_set = dfs(2.0).branch_set
+        wider = DetectorModel.pnrd(sigma=math.nextafter(sigma, 1.0))
+        blurred = both_measures(branch_set, wider)
+        assert all(isinstance(d, Pdf) for d in branch_distributions(branch_set, wider))
+        assert blurred == pytest.approx(both_measures(branch_set, DetectorModel.pnrd()), abs=1e-9)
 
 
 class TestDfsClosedForm:
