@@ -29,6 +29,11 @@ PNRD = "pnrd"
 DEFAULT_GRID_POINTS = 2048
 _MASS_TOL = 1e-6
 _MAX_BLUR_POINTS = 2**22
+# Grid cells per pass of blur_pmfs.  A pass makes about ten numpy calls, so
+# thousands of cells keep their fixed cost small next to the arithmetic;
+# a pass's temporaries (a few per branch, 64 kB each) stay in cache and
+# add little to the peak memory of one table.
+_BLUR_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,11 @@ def _check_grid(lo: float, hi: float) -> None:
         raise UnsupportedRangeError(f"grid [{lo}, {hi}] is too wide: x^2 overflows on it")
 
 
+def _require_rows(rows) -> None:
+    if len(rows) == 0:
+        raise InvalidArgumentError("need at least one state or distribution")
+
+
 def _components(subject) -> list[tuple[float, FockVector]]:
     if isinstance(subject, FockVector):
         return [(1.0, subject)]
@@ -213,6 +223,7 @@ def homodyne_pdfs(states, angle: float, grid) -> list[Pdf]:
     """Quadrature distributions |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure
     states on one grid, from one Hermite table and one real matrix product
     of the real and imaginary rows of the rotated, zero-padded amplitudes."""
+    _require_rows(states)
     grid_min, grid_max, n_points = grid
     _check_grid(grid_min, grid_max)
     cutoff = max(s.cutoff for s in states)
@@ -244,6 +255,7 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
 
 def pnrd_pmfs(states) -> list[Pmf]:
     """Photon-count distributions P(n) = |c_n|^2 of pure states, padded to one cutoff."""
+    _require_rows(states)
     cutoff = max(s.cutoff for s in states)
     amplitudes = np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
     return [Pmf(p) for p in np.abs(amplitudes) ** 2]
@@ -258,6 +270,7 @@ def pnrd_pmf(subject) -> Pmf:
 def blur_pdfs(pdfs, sigma: float) -> list[Pdf]:
     """Convolve Pdfs that share one grid with one Gaussian kernel of width
     sigma, extending the grid by 6 sigma on both sides so no mass leaves it."""
+    _require_rows(pdfs)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
@@ -286,6 +299,7 @@ def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
     """Pmfs read out with Gaussian noise: mixtures of width-sigma Gaussians
     centered on the integer outcomes, on one grid over lambda in
     [-6 sigma, top + 6 sigma], top being the largest significant outcome of any Pmf."""
+    _require_rows(pmfs)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
@@ -308,16 +322,31 @@ def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
     if not math.isfinite(norm * norm):  # an overlap multiplies two densities
         raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
     # outside a row's own support its weight is 0, and adding +0.0 changes no bit
-    scale = np.zeros((len(pmfs), top + 1))
+    scale = np.zeros((len(pmfs), top + 2))
     for row, pmf, support in zip(scale, pmfs, supports):
         row[support] = pmf.probabilities[support] * norm
     values = np.zeros((len(pmfs), n_points))
     # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
-    # beyond that it is below e^-40.5 of its peak.
-    for n in np.flatnonzero(scale.any(axis=0)):
-        centre = round((n - lo) / step)
-        window = slice(max(0, centre - 144), centre + 145)
-        values[:, window] += scale[:, n, None] * np.exp(-0.5 * ((xs[window] - n) / sigma) ** 2)
+    # beyond that it is below e^-40.5 of its peak.  So cell j takes the
+    # outcomes whose centres lie in [j - 144, j + 144], a contiguous run of
+    # `outcomes`.  The sum walks blocks of cells; pass k adds each cell's
+    # k-th outcome, so every cell adds the same terms as a loop over
+    # outcomes would, in the same ascending-n order from 0.  A cell whose run
+    # is shorter adds column top + 1 of `scale` instead, which is 0.
+    outcomes = np.append(np.flatnonzero(scale.any(axis=0)), top + 1)
+    centres = np.rint((outcomes[:-1] - lo) / step).astype(np.intp)
+    weights, ns = scale[:, outcomes], outcomes.astype(float)
+    for start in range(0, n_points, _BLUR_BLOCK):
+        cells = slice(start, start + _BLUR_BLOCK)
+        x, block = xs[cells], values[:, cells]
+        j = np.arange(start, start + x.size)
+        first = np.searchsorted(centres, j - 144, side="left")
+        stop = np.searchsorted(centres, j + 144, side="right")
+        for k in range(int((stop - first).max())):
+            index = first + k
+            index[index >= stop] = -1
+            n = ns[index]
+            block += weights.take(index, axis=1) * np.exp(-0.5 * ((x - n) / sigma) ** 2)
     return [Pdf(lo, hi, n_points, v) for v in values]
 
 

@@ -216,12 +216,20 @@ class TestBranchMeasures:
         both_measures(psv(1.0).branch_set, DetectorModel.pnrd(sigma=1.0))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("make", [lambda: psv(2.5), lambda: dfs(2.0), lambda: css(1.5)],
-                             ids=["psv", "dfs", "css"])
-    def test_blurred_pnrd_matches_per_branch_loop(self, make):
-        branch_set = make().branch_set
-        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=1.0))
-        lo, hi, rows = blur_one_branch_at_a_time(branch_set.branches, 1.0)
+    @pytest.mark.parametrize("sigma", [0.06, 0.5, 1.0, 2.6, 4.0])
+    @pytest.mark.parametrize("make", [
+        lambda: psv(2.5).branch_set,
+        lambda: dfs(2.0).branch_set,
+        lambda: css(1.5).branch_set,
+        lambda: BranchSet(np.sqrt([0.5, 0.5]), (fock_state(0, 4), coherent_state(3.0))),
+    ], ids=["psv", "dfs", "css", "unequal"])
+    def test_blurred_pnrd_matches_per_branch_loop(self, make, sigma):
+        # psv(2.5) spans several cell blocks; every grid clips outcome 0's
+        # window at its left edge; at sigma >= 2.6 a cell reaches every
+        # outcome of dfs, css and the unequal pair
+        branch_set = make()
+        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
+        lo, hi, rows = blur_one_branch_at_a_time(branch_set.branches, sigma)
         for dist, row in zip(dists, rows, strict=True):
             assert (dist.grid_min, dist.grid_max) == (lo, hi)
             assert np.array_equal(dist.values, row)

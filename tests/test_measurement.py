@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from macrolens import (
     hermite_functions,
     homodyne_pdf,
     pnrd_pmf,
+    psv,
     squeezed_vacuum,
     superpose,
     wigner,
@@ -26,7 +28,13 @@ from macrolens.errors import (
     UnsupportedRangeError,
     UsePmfDirectly,
 )
-from macrolens.measurement import blur_pdfs, blur_pmfs, default_homodyne_grid
+from macrolens.measurement import (
+    blur_pdfs,
+    blur_pmfs,
+    default_homodyne_grid,
+    homodyne_pdfs,
+    pnrd_pmfs,
+)
 
 
 class TestHermiteFunctions:
@@ -162,6 +170,30 @@ class TestBlurPmf:
         pmf = pnrd_pmf(coherent_state(1.5))
         pdf = blur_pmf(pmf, 3.0)
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
+
+    def test_peak_memory_stays_near_the_output(self):
+        # the output rows, their Pdf copies and one cell block's temporaries;
+        # an outcome-by-window array (2950 x 289 doubles here) would not fit
+        rows = pnrd_pmfs(psv(2.5).branch_set.branches)
+        tracemalloc.start()
+        try:
+            dists = blur_pmfs(rows, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(d.values.nbytes for d in dists) + 2**20
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: homodyne_pdfs([], 0.0, (-5.0, 5.0, 256)),
+        lambda: pnrd_pmfs([]),
+        lambda: blur_pmfs([], 1.0),
+        lambda: blur_pdfs([], 1.0),
+    ], ids=["homodyne_pdfs", "pnrd_pmfs", "blur_pmfs", "blur_pdfs"])
+    def test_no_rows_rejected(self, call):
+        with pytest.raises(InvalidArgumentError):
+            call()
 
 
 class TestWigner:
