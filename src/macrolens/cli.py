@@ -8,8 +8,10 @@
 
 The homodyne angle PHI defaults to 0, the x quadrature.
 
-All domain errors exit with status 1 and a single-line diagnostic of the
-form ``macrolens-error code=<kind> detail=<message>`` on stderr.
+All domain errors, malformed command lines included, exit with status 1
+and a single-line diagnostic of the form
+``macrolens-error code=<kind> detail=<message>`` on stderr; ``--help`` and
+``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -31,9 +33,17 @@ from .figures import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a domain error, so that it ends in
+    the same one-line diagnostic; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 @functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macrolens",
         description="Macroscopicity of quantum optical states: fluctuation "
         "photons, branch distinguishability, and their product.",
@@ -87,8 +97,8 @@ def _compute_params(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "figure":
             _emit(run_figure(args.id, steps=args.steps), args.format, args.out)
         elif args.command == "compute":

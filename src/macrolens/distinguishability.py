@@ -114,19 +114,21 @@ def _overlap_and_kd(dists, weights) -> tuple[float, float]:
         if not all(first.same_grid(d) for d in dists):
             raise GridMismatchError("pdfs live on different grids")
         rows = np.stack([d.values for d in dists])
-        integrate = partial(np.trapezoid, dx=first.dx, axis=1)
+        integrate = partial(np.trapezoid, dx=first.dx)
     elif all(isinstance(d, Pmf) for d in dists):
         if any(d.cutoff != first.cutoff for d in dists):
             raise GridMismatchError("pmfs have different supports")
         rows = np.stack([d.probabilities for d in dists])
-        integrate = partial(np.sum, axis=1)
+        integrate = np.sum
     else:
         raise GridMismatchError("cannot compare a Pdf with a Pmf")
     mix = weights * (1.0 - np.eye(len(dists)))
     mix /= mix.sum(axis=1, keepdims=True)
     complements = mix @ rows
-    l1 = integrate(np.abs(rows - complements))
-    overlap = integrate(np.sqrt(rows * complements))
+    # one row at a time, so the integrands and their temporaries stay 1 x G
+    pairs = list(zip(rows, complements))
+    l1 = np.array([integrate(np.abs(p - q)) for p, q in pairs])
+    overlap = np.array([integrate(np.sqrt(p * q)) for p, q in pairs])
     return float(np.sum(weights * overlap)), float(np.sum(weights * 0.5 * l1))
 
 

@@ -295,6 +295,26 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("macrolens-error code=invalid-argument detail=")
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--family", "bogus", "--alpha", "1", "--detector", "pnrd",
+         "--sigma", "0"],
+        ["figure", "2", "--steps", "abc"],
+        [],
+    ], ids=["bad-choice", "bad-int", "no-command"])
+    def test_malformed_command_line_diagnostic(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["figure", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out and not out.err
+
     def test_non_utf8_config_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_bytes(CONFIG.encode() + b"# \xff\n")
@@ -563,6 +583,22 @@ class TestFigureFuzz:
     @settings(max_examples=100, deadline=None)
     def test_exit_zero_or_one_diagnostic(self, fig, steps):
         _assert_exit_zero_or_one_diagnostic(["figure", fig, f"--steps={steps}"])
+
+
+class TestMalformedArgvFuzz:
+    @given(
+        command=st.sampled_from([[], ["figure"], ["figure", "2"], ["compute"],
+                                 ["sweep"], ["bogus"], ["--bogus"]]),
+        flags=st.lists(st.sampled_from([
+            "--steps", "--steps=abc", "--steps=1.5", "--steps=", "--format=yaml",
+            "--family=bogus", "--family", "--alpha=x", "--r", "--m=two",
+            "--detector=bogus", "--sigma=abc", "--sign=both", "--config", "--bogus",
+            "-x", "extra", "--alpha=1", "--detector=pnrd", "--sigma=0",
+        ]), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exit_zero_or_one_diagnostic(self, command, flags):
+        _assert_exit_zero_or_one_diagnostic([*command, *flags])
 
 
 class TestSweepFuzz:

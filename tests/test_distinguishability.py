@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from macrolens import (
     BranchSet,
     DetectorModel,
     Ensemble,
+    FockVector,
     Pdf,
     Pmf,
     bhattacharyya_coeff,
@@ -181,6 +184,59 @@ class TestDistanceFunctionals:
         assert -1e-9 <= bc <= 1.0 + 1e-9
 
 
+def stacked_overlap_and_kd(dists, weights):
+    """The B x G reduction that `_overlap_and_kd` replaced, kept as an oracle:
+    every integrand is formed for all rows at once and reduced along axis 1."""
+    if isinstance(dists[0], Pdf):
+        rows = np.stack([d.values for d in dists])
+        integrate = partial(np.trapezoid, dx=dists[0].dx, axis=1)
+    else:
+        rows = np.stack([d.probabilities for d in dists])
+        integrate = partial(np.sum, axis=1)
+    mix = weights * (1.0 - np.eye(len(dists)))
+    mix /= mix.sum(axis=1, keepdims=True)
+    complements = mix @ rows
+    overlap = integrate(np.sqrt(rows * complements))
+    l1 = integrate(np.abs(rows - complements))
+    return float(np.sum(weights * overlap)), float(np.sum(weights * 0.5 * l1))
+
+
+class TestOverlapAndKd:
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.pnrd(),
+        DetectorModel.pnrd(sigma=1.0),
+        DetectorModel.homodyne(),
+        DetectorModel.homodyne(angle=0.3, sigma=0.5),
+    ], ids=["pnrd", "pnrd-1", "homodyne", "homodyne-0.3-0.5"])
+    @pytest.mark.parametrize("branch_set", [
+        psv(0.5).branch_set,
+        psv(2.5, m=2).branch_set,
+        css(1.0).branch_set,
+        dfs(2.0).branch_set,
+        BranchSet(np.sqrt([0.5, 0.25, 0.25]),
+                  (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2))),
+    ], ids=["psv-0.5", "psv-2.5-m2", "css", "dfs", "three"])
+    def test_rows_one_at_a_time_match_the_stacked_reduction(self, branch_set, detector):
+        dists = branch_distributions(branch_set, detector)
+        weights = branch_set.weights
+        got = distinguishability._overlap_and_kd(dists, weights)
+        assert got == stacked_overlap_and_kd(dists, weights)
+
+    def test_peak_memory_holds_no_b_by_g_integrand(self):
+        # the stacked rows and their complements (2 B rows) plus a few 1 x G
+        # temporaries; a B x G integrand and its trapezoid sums would add B more
+        branch_set = psv(2.5).branch_set
+        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=1.0))
+        row_bytes = dists[0].values.nbytes
+        tracemalloc.start()
+        try:
+            distinguishability._overlap_and_kd(dists, branch_set.weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * len(dists) + 3) * row_bytes
+
+
 class TestBranchMeasures:
     def test_css_homodyne_oracles(self):
         # analytic overlaps of |alpha> and |-alpha> quadrature Gaussians.
@@ -232,7 +288,29 @@ class TestBranchMeasures:
         lo, hi, rows = blur_one_branch_at_a_time(branch_set.branches, sigma)
         for dist, row in zip(dists, rows, strict=True):
             assert (dist.grid_min, dist.grid_max) == (lo, hi)
-            assert np.array_equal(dist.values, row)
+            np.testing.assert_allclose(dist.values, row, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("branches, sigma", [
+        # interior outcomes of zero weight inside each support
+        ((FockVector(np.sqrt([0.3, 0, 0, 0.2, 0, 0, 0, 0.5])),
+          FockVector(np.sqrt([0, 0.5, 0, 0, 0, 0.5]))), 0.5),
+        ((FockVector(np.sqrt([0.3, 0, 0, 0.2, 0, 0, 0, 0.5])),
+          FockVector(np.sqrt([0, 0.5, 0, 0, 0, 0.5]))), 2.6),
+        # below the sharp-PNRD limit, reached only by direct calls: a cell
+        # sees at most one outcome, and most cells none
+        (css(1.5).branch_set.branches, 1e-3),
+        (css(1.5).branch_set.branches, 0.03),
+        (dfs(2.0).branch_set.branches, 0.0584),
+        # runs of up to 361 outcomes, far longer than one re-anchoring stride
+        (psv(2.5).branch_set.branches, 20.0),
+    ], ids=["zeros-0.5", "zeros-2.6", "css-1e-3", "css-0.03", "dfs-0.0584", "psv-20"])
+    def test_blur_pmfs_matches_per_branch_loop(self, branches, sigma):
+        dists = blur_pmfs(pnrd_pmfs(branches), sigma)
+        lo, hi, rows = blur_one_branch_at_a_time(branches, sigma)
+        for dist, row in zip(dists, rows, strict=True):
+            assert (dist.grid_min, dist.grid_max) == (lo, hi)
+            assert np.all(np.isfinite(dist.values))
+            np.testing.assert_allclose(dist.values, row, rtol=1e-13, atol=0)
 
     def test_blurred_pnrd_unequal_cutoffs(self):
         # cutoffs 4 and 41 whose supports barely overlap: each row lives on

@@ -142,6 +142,20 @@ class TestBlurPdf:
         with pytest.raises(InvalidArgumentError):
             blur_pdf(homodyne_pdf(fock_state(0, 8)), -1.0)
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0, 40.0])
+    def test_matches_zero_padded_convolution(self, sigma):
+        # at sigma = 40 the kernel is longer than the rows it blurs
+        rows = homodyne_pdfs([fock_state(0, 8), coherent_state(1.5)], 0.3, (-6.0, 8.0, 512))
+        dx = rows[0].dx
+        pad = math.ceil(6.0 * sigma / dx)
+        kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * dx / sigma) ** 2)
+        kernel /= kernel.sum()
+        for pdf, row in zip(blur_pdfs(rows, sigma), rows, strict=True):
+            assert (pdf.grid_min, pdf.grid_max, pdf.n_points) == (
+                row.grid_min - pad * dx, row.grid_max + pad * dx, row.n_points + 2 * pad)
+            padded = np.convolve(np.pad(row.values, pad), kernel, mode="same")
+            np.testing.assert_allclose(pdf.values, padded, rtol=1e-14, atol=0)
+
     @pytest.mark.filterwarnings("error")
     def test_tiny_sigma_is_identity(self):
         # every off-centre kernel exponent overflows, so the kernel is [0, 1, 0]
