@@ -20,13 +20,13 @@ from .distinguishability import BranchSet, d_kd
 from .errors import DegenerateSubtractionError, InvalidArgumentError, UnsupportedRangeError
 from .fock import (
     FockVector,
+    _check_tail_tolerance,
     coherent_state,
     displace,
     fock_state,
     squeezed_vacuum,
     subtract_photons,
     superpose,
-    tail_tolerance_default,
 )
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     # r = 0 is the vacuum: the subtraction below fails as degenerate
     sv = squeezed_vacuum(-r)
     (u, core_u), (v, core_v) = (
-        _subtract(sv, r, k, tail_tolerance_default()) for k in (m, m + 1)
+        _subtract(sv, r, k, _check_tail_tolerance()) for k in (m, m + 1)
     )
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)

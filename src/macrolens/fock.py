@@ -30,15 +30,6 @@ _NORM_TOL = 1e-8
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
-def tail_tolerance_default() -> float:
-    """Default truncation tolerance; MACROLENS_TAIL_TOL overrides it."""
-    env = os.environ.get("MACROLENS_TAIL_TOL")
-    try:
-        return float(env) if env else DEFAULT_TAIL_TOLERANCE
-    except ValueError:
-        raise InvalidArgumentError(f"MACROLENS_TAIL_TOL={env!r} is not a number") from None
-
-
 _CUTOFF_SCALE = contextvars.ContextVar("macrolens_cutoff_scale", default=1)
 
 
@@ -59,13 +50,21 @@ def scaled_cutoffs(factor: int):
         _CUTOFF_SCALE.reset(token)
 
 
-def _check_tail_tolerance(tol: float | None) -> float:
-    """The given tolerance, or the default when None, checked for range."""
+def _check_tail_tolerance(tol: float | None = None) -> float:
+    """The given tolerance, or when None MACROLENS_TAIL_TOL or the default, range-checked."""
     if tol is None:
-        tol = tail_tolerance_default()
+        env = os.environ.get("MACROLENS_TAIL_TOL")
+        try:
+            tol = float(env) if env else DEFAULT_TAIL_TOLERANCE
+        except ValueError:
+            raise InvalidArgumentError(f"MACROLENS_TAIL_TOL={env!r} is not a number") from None
     if not (0.0 < tol <= 1e-6):
         raise InvalidArgumentError(f"tail_tolerance must be in (0, 1e-6], got {tol}")
     return tol
+
+
+# perfbench/spans.py imports this name to size its cutoff counters
+tail_tolerance_default = _check_tail_tolerance
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,8 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def overlap(self, other: "FockVector") -> complex:
-        n = max(self.cutoff, other.cutoff)
-        a = pad_to_cutoff(self, n).amplitudes
-        b = pad_to_cutoff(other, n).amplitudes
-        return complex(np.vdot(a, b))
+        n = min(self.cutoff, other.cutoff)  # levels beyond it meet zeros
+        return complex(np.vdot(self.amplitudes[:n], other.amplitudes[:n]))
 
     def fidelity(self, other: "FockVector") -> float:
         return abs(self.overlap(other)) ** 2
@@ -160,8 +157,8 @@ def _grow_cutoff(expand, cutoff: int, tol: float):
     """Double ``cutoff`` until ``expand(cutoff)`` has a tail below ``tol``, then
     scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail).
 
-    The tail is 1 - sum |c_n|^2, which stops falling at roundoff; a doubling
-    that does not lower it ends the growth as unsupported.
+    A tail taken as 1 - sum |c_n|^2 stops falling at roundoff; a doubling
+    that does not lower the tail ends the growth as unsupported.
     """
     amps, tail = expand(cutoff)
     while tail >= tol:
@@ -180,27 +177,8 @@ def _grow_cutoff(expand, cutoff: int, tol: float):
 
 
 def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
-    """Coherent state |alpha> with amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    tol = _check_tail_tolerance(tail_tolerance)
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise InvalidArgumentError("alpha must be finite")
-    nbar = abs(alpha) ** 2
-
-    def expand(cutoff: int):
-        n = np.arange(cutoff)
-        if nbar == 0.0:
-            amps = np.zeros(cutoff, dtype=complex)
-            amps[0] = 1.0
-            return amps, 0.0
-        log_mag = n * math.log(abs(alpha)) - 0.5 * _lgamma(n + 1.0) - nbar / 2.0
-        amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-        tail = max(0.0, 1.0 - float(np.sum(np.exp(2.0 * log_mag))))
-        return amps, tail
-
-    cutoff = max(16, math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0)))
-    _, amps, tail = _grow_cutoff(expand, cutoff, tol)
-    return from_amplitudes(amps, tail_mass=tail)
+    """Coherent state |alpha> = D(alpha)|0>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
+    return _displaced(fock_state(0, 1), alpha, _check_tail_tolerance(tail_tolerance))
 
 
 def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector:
@@ -263,11 +241,10 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
         raise DegenerateSubtractionError(f"a^{m} annihilates the state")
     work = np.array(state.amplitudes)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        root = np.sqrt(np.arange(1, work.size))
         for _ in range(m):
-            n = np.arange(1, work.size)
-            shifted = np.zeros_like(work)
-            shifted[: work.size - 1] = np.sqrt(n) * work[1:]
-            work = shifted
+            work[:-1] = root * work[1:]
+            work[-1] = 0.0
         norm_sq = float(np.vdot(work, work).real)
     if not math.isfinite(norm_sq):
         raise UnsupportedRangeError(f"the norm of a^{m} on this state overflows a double")
@@ -278,29 +255,58 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
 
 
 def displace(state: FockVector, alpha) -> FockVector:
-    """Apply the displacement operator D(alpha) = exp(alpha a^dag - conj(alpha) a).
+    """D(alpha)|state>, D(alpha) = exp(alpha a^dag - conj(alpha) a), at the default tolerance."""
+    tol = _check_tail_tolerance()
+    if alpha == 0:
+        return state
+    return _displaced(state, alpha, tol)
 
-    The cutoff is grown before application so the truncated generator acts
-    unitarily on the state's support.
+
+def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
+    """D(alpha)|state> from <m|D(alpha)|n>, associated Laguerre polynomials in
+    x = |alpha|^2 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
+
+    f_p[k] = <p+k|D(|alpha|)|p> = (-1)^k <p|D(|alpha|)|p+k> gives column and
+    row p; it obeys the Laguerre recurrence in p (the one in m diverges):
+        f_{p+1} = [(2p+1+k-x) f_p - sqrt(p(p+k)) f_{p-1}] / sqrt((p+1)(p+1+k)).
+    The mass at or past the cutoff is summed directly over 10|alpha| + 40
+    more levels: 1 - sum |c_n|^2 would stall at roundoff.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidArgumentError("alpha must be finite")
-    if alpha == 0:
-        return state
-    mag = abs(alpha)
-    grown = state.cutoff + _CUTOFF_SCALE.get() * math.ceil(mag**2 + 8.0 * mag + 8.0)
-    sqrt_n = np.sqrt(np.arange(1, grown))
-    lower = np.diag(sqrt_n, 1)  # annihilation operator
-    generator = alpha * lower.conj().T - np.conj(alpha) * lower
-    padded = np.zeros(grown, dtype=complex)
-    padded[: state.cutoff] = state.amplitudes
-    # exp(generator) = exp(-iH) with H = i*generator Hermitian
-    lam, vecs = np.linalg.eigh(1j * generator)
-    displaced = vecs @ (np.exp(-1j * lam) * (vecs.conj().T @ padded))
-    # the truncated generator is anti-Hermitian, so the norm is preserved
-    # up to roundoff; renormalize to keep the FockVector invariant exact
-    return from_amplitudes(displaced, tail_mass=state.tail_mass)
+    mag, x, levels, theta = abs(alpha), abs(alpha) ** 2, state.cutoff, np.angle(alpha)
+    # e^{-i n theta} c_n, on which the real matrix D(|alpha|) acts; the rows
+    # read it with signs (-1)^n, as <p|D(|alpha|)|p+k> = (-1)^k f_p[k]
+    phased = state.amplitudes * np.exp(-1j * theta * np.arange(levels))
+    alternating = phased * (-1.0) ** np.arange(levels)
+
+    def expand(cutoff: int):
+        size = cutoff + math.ceil(10.0 * mag) + 40
+        k = np.arange(size)
+        root = np.sqrt(np.arange(size + levels))
+        # f_0 is the coherent row of |alpha|: ratios mag/sqrt(j) outward from
+        # its peak j = floor(x), so that nothing underflows near the peak
+        peak = math.floor(x)
+        up = np.cumprod(mag / root[peak + 1 : size])
+        down = np.cumprod(root[peak:0:-1] / mag)
+        f = np.concatenate([down[::-1], [1.0], up])
+        f /= np.linalg.norm(f)
+        f_prev = np.zeros(size)
+        out = np.zeros(size, dtype=complex)
+        for p in range(levels):
+            if p > 0:
+                f, f_prev = ((2 * p - 1 + k - x) * f - root[p - 1] * root[p - 1 : p - 1 + size]
+                             * f_prev) / (root[p] * root[p : p + size]), f
+            out[p:] += phased[p] * f[: size - p]
+            out[p] += (-1) ** p * (f[1 : levels - p] @ alternating[p + 1 :])
+        out *= np.exp(1j * theta * k)  # <m|D(alpha)|n> = e^{i(m-n) theta} <m|D(|alpha|)|n>
+        return out[:cutoff], float(np.vdot(out[cutoff:], out[cutoff:]).real)
+
+    cutoff = levels - 1 + max(16, math.ceil(x + 10.0 * math.sqrt(x + 1.0)))
+    _, amps, tail = _grow_cutoff(expand, cutoff, tol)
+    # the input's own tail adds by Cauchy-Schwarz, as in superpose
+    return from_amplitudes(amps, tail_mass=(math.sqrt(tail) + math.sqrt(state.tail_mass)) ** 2)
 
 
 def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
@@ -308,9 +314,7 @@ def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
     if sign not in (+1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
     n = max(a.cutoff, b.cutoff)
-    va = pad_to_cutoff(a, n).amplitudes
-    vb = pad_to_cutoff(b, n).amplitudes
-    combined = va + sign * vb
+    combined = pad_to_cutoff(a, n).amplitudes + sign * pad_to_cutoff(b, n).amplitudes
     nrm = np.linalg.norm(combined)
     if nrm <= 1e-10:
         raise DegenerateSuperpositionError("components cancel destructively")
@@ -325,13 +329,8 @@ def _ladder_expectations(state: FockVector) -> tuple[complex, float, complex]:
     n = np.arange(c.size)
     mean_n = float(np.sum(n * np.abs(c) ** 2))
     mean_a = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
-    if c.size >= 3:
-        k = np.arange(c.size - 2)
-        mean_a2 = complex(
-            np.sum(np.conj(c[:-2]) * np.sqrt((k + 1.0) * (k + 2.0)) * c[2:])
-        )
-    else:
-        mean_a2 = 0.0 + 0.0j
+    k = np.arange(c.size - 2)  # empty below three levels, so <a^2> = 0
+    mean_a2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((k + 1.0) * (k + 2.0)) * c[2:]))
     return mean_a, mean_n, mean_a2
 
 

@@ -453,13 +453,30 @@ def _capped_address_space():
 
 
 class TestEnvTolerance:
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+    def test_tiny_tolerance_reached_by_css(self, tol):
+        # the displaced tail is summed directly, so it falls below roundoff
+        code = (
+            "import sys; from macrolens.cli import main; from macrolens import css;"
+            "print(max(b.tail_mass for b in css(4.0).branch_set.branches));"
+            "sys.exit(main(['compute', '--family', 'css', '--alpha=4',"
+            " '--detector', 'pnrd', '--sigma', '0']))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+            timeout=120, preexec_fn=_capped_address_space,
+            env={**os.environ, "PYTHONPATH": _package_path(), "MACROLENS_TAIL_TOL": tol,
+                 "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout.splitlines()[0]) < float(tol)
+
     @pytest.mark.parametrize("tol, family, param", [
-        ("1e-16", "css", "--alpha=4"),
-        ("1e-300", "css", "--alpha=4"),
         ("1e-16", "psv", "--r=1.5"),
     ])
     def test_unreachable_tolerance_diagnostic(self, tol, family, param):
-        # 1 - sum |c_n|^2 stops falling at roundoff, near 1e-16
+        # squeezed_vacuum's 1 - sum |c_n|^2 stops falling at roundoff, near 1e-16
         code = (
             "import sys; from macrolens.cli import main;"
             f"sys.exit(main(['compute', '--family', '{family}', '{param}',"
@@ -475,6 +492,17 @@ class TestEnvTolerance:
         err = proc.stderr.splitlines()
         assert len(err) == 1
         assert err[0].startswith("macrolens-error code=unsupported-range detail=")
+
+    def test_bad_tolerance_reaches_dfs(self, monkeypatch, capsys):
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", "abc")
+        rc = main([
+            "compute", "--family", "dfs", "--alpha", "1.0",
+            "--detector", "pnrd", "--sigma", "0",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
 
     def test_tail_tolerance_env(self):
         code = (

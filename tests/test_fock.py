@@ -63,6 +63,14 @@ class TestCoherentState:
             v.tail_mass, abs=1e-13
         )
 
+    @pytest.mark.parametrize("alpha, tol", [(1.5, 1e-16), (4.0, 1e-12), (2.7, 1e-14)])
+    def test_tail_is_the_poisson_tail(self, alpha, tol):
+        from scipy.stats import poisson
+
+        v = coherent_state(alpha, tol)
+        assert v.tail_mass < tol
+        assert v.tail_mass == pytest.approx(poisson.sf(v.cutoff - 1, alpha**2), rel=1e-10, abs=0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             coherent_state(float("nan"))
@@ -174,18 +182,42 @@ class TestDisplace:
         back = displace(d, -alpha)
         assert back.fidelity(s) > 1 - 1e-8
 
-    @pytest.mark.parametrize("alpha", [0.5, -1.2, 2.0 + 1.0j, 3.0j, 4.0])
+    @pytest.mark.parametrize("alpha", [0.5, -1.2, 2.0 + 1.0j, 3.0j, 4.0, 7.0 - 3.0j])
     @pytest.mark.parametrize("make", [
         lambda: fock_state(1, 4), lambda: coherent_state(1.3), lambda: squeezed_vacuum(0.5),
-    ], ids=["fock1", "coherent", "squeezed"])
-    def test_matches_expm_of_truncated_generator(self, make, alpha):
+        lambda: squeezed_vacuum(1.0), lambda: odd_cat(2.0),
+    ], ids=["fock1", "coherent", "squeezed", "squeezed1", "odd_cat"])
+    def test_matches_expm_on_a_larger_basis(self, make, alpha):
+        # the oracle's own truncation lies far beyond the output's cutoff
         s = make()
         d = displace(s, alpha)
-        lower = np.diag(np.sqrt(np.arange(1, d.cutoff)), 1)
-        oracle = expm(alpha * lower.conj().T - np.conj(alpha) * lower)
-        expected = oracle @ pad_to_cutoff(s, d.cutoff).amplitudes
+        expected = expm_displaced(s, alpha, 2 * d.cutoff + 100)[: d.cutoff]
         expected /= np.linalg.norm(expected)
-        assert np.max(np.abs(d.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(d.amplitudes - expected)) < 1e-14
+
+    def test_reports_the_mass_beyond_its_cutoff(self):
+        s = odd_cat(2.0)
+        d = displace(s, 4.0)
+        beyond = expm_displaced(s, 4.0, 2 * d.cutoff + 100)[d.cutoff:]
+        assert d.tail_mass >= np.sum(np.abs(beyond) ** 2)
+
+    @pytest.mark.parametrize("alpha", [40.0, 60.0j])
+    def test_large_alpha_moments(self, alpha):
+        # ladder algebra: D^dag a D = a + alpha
+        m = moments(displace(fock_state(1, 4), alpha))
+        assert m.mean_n == pytest.approx(1 + abs(alpha) ** 2, rel=1e-9)
+        assert m.mean_a == pytest.approx(alpha, rel=1e-9)
+
+
+def odd_cat(alpha):
+    return superpose(coherent_state(alpha), coherent_state(-alpha), -1)
+
+
+def expm_displaced(state, alpha, dim):
+    """D(alpha)|state> by expm of the generator truncated at ``dim`` levels."""
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    oracle = expm(alpha * lower.conj().T - np.conj(alpha) * lower)
+    return oracle @ pad_to_cutoff(state, dim).amplitudes
 
 
 class TestSuperpose:
