@@ -18,12 +18,15 @@ import numpy as np
 # d_kd is unused here but the perfbench/spans.py tracer still wraps catalog.d_kd
 from .distinguishability import BranchSet, d_kd
 from .errors import DegenerateSubtractionError, InvalidArgumentError, UnsupportedRangeError
+# subtract_photons, like d_kd, is unused here but wrapped by that tracer
 from .fock import (
     FockVector,
     _check_tail_tolerance,
+    _squeezed,
     coherent_state,
     displace,
     fock_state,
+    from_amplitudes,
     squeezed_vacuum,
     subtract_photons,
     superpose,
@@ -86,60 +89,45 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
         raise UnsupportedRangeError(f"psv requires 0 <= r <= 2.5, got {r}")
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
-    # r = 0 is the vacuum: the subtraction below fails as degenerate
-    sv = squeezed_vacuum(-r)
-    (u, core_u), (v, core_v) = (
-        _subtract(sv, r, k, _check_tail_tolerance()) for k in (m, m + 1)
-    )
+    # the squeezed vacuum's cutoff follows the tolerance and scaled_cutoffs
+    cutoff = squeezed_vacuum(-r).cutoff
+    if r == 0.0:
+        raise DegenerateSubtractionError(f"a^{m} annihilates the vacuum")
+    if m + 2 > cutoff:  # a core needs m + 2 levels and O(m^2) time
+        raise UnsupportedRangeError(
+            f"m = {m} does not fit the {cutoff} levels of the squeezed vacuum"
+        )
+    tol = _check_tail_tolerance()
+    subtracted = []
+    for k in (m, m + 1):
+        amps, tail = _squeezed(-r, k, cutoff)
+        if tail >= tol:
+            raise UnsupportedRangeError(
+                f"a^{k} at r = {r} leaves a truncation tail of {tail:.3g} beyond "
+                f"{cutoff} levels, above the tolerance {tol:g}"
+            )
+        subtracted.append(from_amplitudes(amps, tail_mass=tail))
+    u, v = subtracted
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)
     b2 = superpose(u, v, -1)
+    core_u, core_v = _core(r, m), _core(r, m + 1)
     cores = (superpose(core_u, core_v, +1), superpose(core_u, core_v, -1))
     return _two_branch(b1, b2, "psv", {"r": r, "m": m}, frame=(r, cores))
 
 
-def _core(r: float, m: int) -> tuple[FockVector, float]:
+def _core(r: float, m: int) -> FockVector:
     """The normalized core (cosh r a + sinh r a^dag)^m |0> on m + 1 levels,
-    so that a^m S|0> = S core for S = S(-r) as psv builds it, and
-    log ||a^m S|0>||^2, which is the same for either sign of the squeeze
-    (S is unitary).  The core is rescaled at each step."""
+    so that a^m S|0> = S core for S = S(-r) as psv builds it.  The core is
+    rescaled at each step."""
     k = np.sqrt(np.arange(1.0, m + 1))
     core = np.zeros(m + 1)
     core[0] = 1.0
-    c, s, log_sq = math.cosh(r), math.sinh(r), 0.0
+    c, s = math.cosh(r), math.sinh(r)
     for _ in range(m):
         core = c * np.append(k * core[1:], 0.0) + s * np.append(0.0, k * core[:-1])
-        scale = np.abs(core).max()
-        core /= scale
-        log_sq += 2.0 * math.log(scale)
-    norm_sq = core @ core
-    return FockVector(core / math.sqrt(norm_sq)), log_sq + math.log(norm_sq)
-
-
-def _subtract(sv: FockVector, r: float, m: int, tol: float) -> tuple[FockVector, FockVector]:
-    """Normalized a^m sv whose ``tail_mass`` is measured against the exact
-    norm, and its core (see ``_core``); a tail at or above ``tol`` is
-    unsupported."""
-    try:
-        state, factor = subtract_photons(sv, m)
-    except DegenerateSubtractionError:
-        # degenerate only if the exact norm is as small as the truncated one;
-        # a^m beyond the basis is lost to truncation
-        if r == 0.0 or (m < sv.cutoff and _core(r, m)[1] <= math.log(1e-14)):
-            raise
-        raise UnsupportedRangeError(
-            f"a^{m} needs more than the {sv.cutoff} levels of the squeezed vacuum"
-        ) from None
-    core, log_sq = _core(r, m)
-    kept = (1.0 - sv.tail_mass) * math.exp(-2.0 * math.log(factor) - log_sq)
-    if 1.0 - kept >= tol:
-        raise UnsupportedRangeError(
-            f"a^{m} at r = {r} leaves a truncation tail of {1.0 - kept:.3g}, "
-            f"above the tolerance {tol:g}"
-        )
-    # set on the fresh vector: rebuilding it would renormalize its amplitudes
-    object.__setattr__(state, "tail_mass", max(0.0, 1.0 - kept))
-    return state, core
+        core /= np.abs(core).max()
+    return FockVector(core / math.sqrt(core @ core))
 
 
 def dfs(alpha: float) -> TwoBranchState:

@@ -27,7 +27,6 @@ from .errors import (
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
 _NORM_TOL = 1e-8
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 _CUTOFF_SCALE = contextvars.ContextVar("macrolens_cutoff_scale", default=1)
@@ -157,8 +156,8 @@ def _grow_cutoff(expand, cutoff: int, tol: float):
     """Double ``cutoff`` until ``expand(cutoff)`` has a tail below ``tol``, then
     scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail).
 
-    A tail taken as 1 - sum |c_n|^2 stops falling at roundoff; a doubling
-    that does not lower the tail ends the growth as unsupported.
+    A doubling that does not lower the tail ends the growth as unsupported,
+    so a tail that stops falling cannot grow the basis without end.
     """
     amps, tail = expand(cutoff)
     while tail >= tol:
@@ -195,27 +194,38 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
         raise UnsupportedRangeError(f"|r| = {abs(r)} exceeds the supported 3.0")
     if r == 0.0:
         return fock_state(0, 16)
-    t = -math.tanh(r)
-
-    def expand(cutoff: int):
-        m = np.arange((cutoff + 1) // 2)
-        # c_{2m} = (-tanh r)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh r)
-        log_mag = (
-            m * math.log(abs(t))
-            + 0.5 * _lgamma(2 * m + 1.0)
-            - m * math.log(2.0)
-            - _lgamma(m + 1.0)
-            - 0.5 * math.log(math.cosh(r))
-        )
-        even = np.sign(t) ** m * np.exp(log_mag)
-        tail = max(0.0, 1.0 - float(np.sum(even**2)))
-        return even, tail
-
     cutoff = max(16, math.ceil(20.0 * math.exp(2.0 * abs(r))))
-    cutoff, even, tail = _grow_cutoff(expand, cutoff, tol)
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[::2][: even.size] = even
+    _, amps, tail = _grow_cutoff(lambda levels: _squeezed(r, 0, levels), cutoff, tol)
     return from_amplitudes(amps, tail_mass=tail)
+
+
+def _squeezed(r: float, k: int, cutoff: int) -> tuple[np.ndarray, float]:
+    """Normalized a^k S(r)|0> on ``cutoff`` levels, and the mass beyond them.
+
+    Levels n with n + k even obey c_{n+2} = -tanh r (n+k+1) / sqrt((n+1)(n+2)) c_n,
+    so c_n has the sign of (-tanh r)^{(n+k)/2}; the magnitudes are summed as
+    logs from n = k mod 2 and scaled by their largest, so nothing overflows.
+    The mass is summed directly over 2 cutoff levels (1 - sum |c_n|^2 would
+    stall at roundoff) and bounded past them by a geometric series in the
+    larger of tanh^2 r, which the squared ratio approaches from below for
+    k = 0, and the last level's squared ratio, from which it falls for k >= 1.
+    """
+    log_t2 = 2.0 * math.log(abs(math.tanh(r)))  # tanh^2 r itself may underflow
+    n = np.arange(k % 2, 2 * cutoff, 2)
+    # log of (n+k+1)^2 / ((n+1)(n+2)), which c_{n+2}^2 / c_n^2 is tanh^2 r times
+    log_f = np.log1p(k / (n + 1.0)) + np.log1p((k - 1.0) / (n + 2.0))
+    log_rho = log_t2 + max(0.0, log_f[-1])
+    if log_rho >= 0.0:  # still rising past 2 cutoff levels: nothing bounds the rest
+        return np.zeros(cutoff), 1.0
+    log_mag = np.concatenate([[0.0], np.cumsum(0.5 * (log_t2 + log_f[:-1]))])
+    mag = np.exp(log_mag - log_mag.max())
+    rho = math.exp(log_rho)
+    beyond = mag[-1] ** 2 * rho / (1.0 - rho)
+    mass = mag @ mag + beyond
+    amps = np.zeros(2 * cutoff)
+    amps[n] = (-math.copysign(1.0, r)) ** ((n + k) // 2) * mag / math.sqrt(mass)
+    dropped = mag[n >= cutoff]
+    return amps[:cutoff], float(dropped @ dropped + beyond) / mass
 
 
 def fock_state(n: int, cutoff: int) -> FockVector:
@@ -233,7 +243,9 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
     """Apply a^m and renormalize.
 
     Returns the normalized state and the factor N_m such that
-    N_m a^m |state> has unit norm.
+    N_m a^m |state> has unit norm.  Its ``tail_mass`` is the input's and does
+    not bound the output's: a^m reweights the levels past the cutoff by about
+    n^m.
     """
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")

@@ -16,11 +16,9 @@ from macrolens import (
     from_amplitudes,
     moments,
     psv,
-    scaled_cutoffs,
     squeezed_vacuum,
-    subtract_photons,
 )
-from macrolens.catalog import FAMILIES, PARAM_NAMES, _core, _subtract
+from macrolens.catalog import FAMILIES, PARAM_NAMES
 from macrolens.errors import (
     DegenerateSubtractionError,
     InvalidArgumentError,
@@ -103,27 +101,21 @@ class TestPsv:
         with pytest.raises(InvalidArgumentError):
             psv(1.0, m=0)
 
-    @pytest.mark.parametrize("r", (0.3, 1.0, 2.5))
-    def test_core_norm_closed_forms(self, r):
-        # <a^dag a> = sinh^2 r and <a^dag^2 a^2> = 2 sinh^4 r + sinh^2 r cosh^2 r
-        s2, c2 = math.sinh(r) ** 2, math.cosh(r) ** 2
-        assert _core(r, 1)[1] == pytest.approx(math.log(s2), abs=1e-13)
-        assert _core(r, 2)[1] == pytest.approx(math.log(2 * s2**2 + s2 * c2), abs=1e-13)
-
     @pytest.mark.parametrize("m", (3, 4, 5))
-    def test_subtraction_tail_matches_doubled_cutoff(self, m):
-        # the truncated norm at twice the cutoff is an independent estimate
-        # of the exact norm of a^m S|0>; the squeezed vacuum's amplitudes
-        # carry about 1e-14 of roundoff, so both estimates do too
-        sv = squeezed_vacuum(-2.5)
-        with scaled_cutoffs(2):
-            wide = squeezed_vacuum(-2.5)
-        _, factor = subtract_photons(sv, m)
-        _, wide_factor = subtract_photons(wide, m)
-        expected = 1 - (wide_factor / factor) ** 2
-        tail = _subtract(sv, 2.5, m, 1e-6)[0].tail_mass
-        assert tail == pytest.approx(expected, abs=2e-14)
-        assert tail > 1e-14
+    def test_branch_tails_are_the_subtraction_tails(self, monkeypatch, m):
+        # u and v drop the exact mass of a^m S|0> and a^(m+1) S|0> beyond the
+        # squeezed vacuum's cutoff (tests/test_fock.py checks _squeezed
+        # against mpmath); each branch adds them by Cauchy-Schwarz
+        from macrolens.fock import _squeezed
+
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", "1e-6")
+        cutoff = squeezed_vacuum(-2.5).cutoff
+        tails = [_squeezed(-2.5, k, cutoff)[1] for k in (m, m + 1)]
+        expected = (math.sqrt(tails[0]) + math.sqrt(tails[1])) ** 2 / 2
+        for b in psv(2.5, m).branch_set.branches:
+            assert b.cutoff == cutoff
+            assert b.tail_mass == pytest.approx(expected, rel=1e-12)
+            assert b.tail_mass > 1e-14
 
     def test_branch_tails_are_honest(self):
         # a^4 reweights the squeezed vacuum's tail by about n^4

@@ -374,7 +374,7 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r, m, code", [
-        ("2.5", "4", "unsupported-range"),  # a^5 leaves a tail of 1.5e-12
+        ("2.5", "4", "unsupported-range"),  # a^5 leaves 1.43e-12
         ("2.5", "5", "unsupported-range"),
         ("2.5", "20", "unsupported-range"),
         ("2.5", "100", "unsupported-range"),
@@ -453,13 +453,20 @@ def _capped_address_space():
 
 
 class TestEnvTolerance:
-    @pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
-    def test_tiny_tolerance_reached_by_css(self, tol):
-        # the displaced tail is summed directly, so it falls below roundoff
+    @pytest.mark.parametrize("tol, family, param", [
+        ("1e-16", "css", "alpha=4"),
+        ("1e-300", "css", "alpha=4"),
+        ("1e-16", "psv", "r=0.3"),
+    ])
+    def test_tiny_tolerance_reached(self, tol, family, param):
+        # the displaced and squeezed tails are summed directly, so they fall
+        # below roundoff; psv's exact branch tails at r = 0.3 are near 1e-19
+        name, value = param.split("=")
         code = (
-            "import sys; from macrolens.cli import main; from macrolens import css;"
-            "print(max(b.tail_mass for b in css(4.0).branch_set.branches));"
-            "sys.exit(main(['compute', '--family', 'css', '--alpha=4',"
+            "import sys; from macrolens.cli import main; from macrolens import build;"
+            f"state = build('{family}', {name}={value});"
+            "print(max(b.tail_mass for b in state.branch_set.branches));"
+            f"sys.exit(main(['compute', '--family', '{family}', '--{param}',"
             " '--detector', 'pnrd', '--sigma', '0']))"
         )
         proc = subprocess.run(
@@ -474,9 +481,11 @@ class TestEnvTolerance:
 
     @pytest.mark.parametrize("tol, family, param", [
         ("1e-16", "psv", "--r=1.5"),
+        ("1e-16", "psv", "--r=2.5"),
     ])
     def test_unreachable_tolerance_diagnostic(self, tol, family, param):
-        # squeezed_vacuum's 1 - sum |c_n|^2 stops falling at roundoff, near 1e-16
+        # psv keeps the squeezed vacuum's cutoff, and a^2 S|0> drops 7.8e-16
+        # beyond its 402 levels at r = 1.5 and 8.2e-16 beyond 2969 at r = 2.5
         code = (
             "import sys; from macrolens.cli import main;"
             f"sys.exit(main(['compute', '--family', '{family}', '{param}',"

@@ -37,6 +37,31 @@ def squeeze_matrix(r, dim, antisqueeze_x=False):
     return expm(gen)
 
 
+def subtracted_squeezed_oracle(r, k, cutoff):
+    """Normalized a^k S(r)|0> on ``cutoff`` levels and the mass beyond them, in
+    50 digits. The amplitudes sqrt((n+k)!/n!) c_{n+k} come from the closed form
+    c_{2j} = (-tanh r)^j sqrt((2j)!) / (2^j j! sqrt(cosh r)); the exact norm
+    from the k + 1 levels of (cosh r a - sinh r a^dag)^k |0>, as
+    S^dag a S = cosh r a - sinh r a^dag."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        r = mp.mpf(r)
+        t, c, s = -mp.tanh(r), mp.cosh(r), mp.sinh(r)
+        amps = [mp.mpf(0)] * cutoff
+        for n in range(k % 2, cutoff, 2):
+            j = (n + k) // 2
+            amps[n] = t**j * mp.sqrt(
+                mp.factorial(n + k) / mp.factorial(n) * mp.factorial(2 * j) / c
+            ) / (2**j * mp.factorial(j))
+        core = [mp.mpf(1)] + [mp.mpf(0)] * (k + 1)
+        for _ in range(k):
+            core = [c * mp.sqrt(i + 1) * core[i + 1] - s * mp.sqrt(i) * core[i - 1]
+                    for i in range(k + 1)] + [mp.mpf(0)]
+        norm_sq = mp.fsum(x * x for x in core)
+        kept = mp.fsum(x * x for x in amps)
+        return np.array([float(x / mp.sqrt(norm_sq)) for x in amps]), float(1 - kept / norm_sq)
+
+
 class TestCoherentState:
     def test_vacuum_identity(self):
         v = coherent_state(0)
@@ -116,6 +141,24 @@ class TestSqueezedVacuum:
     def test_range_guard(self):
         with pytest.raises(UnsupportedRangeError):
             squeezed_vacuum(3.2)
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("r", (0.5, 1.5, -2.5))
+    def test_subtracted_amplitudes_and_tail_match_mpmath(self, r, k):
+        # on the default cutoffs; a^5 at r = -2.5 drops 1.43e-12
+        from macrolens.fock import _squeezed
+
+        cutoff = max(16, math.ceil(20.0 * math.exp(2.0 * abs(r))))
+        amps, tail = _squeezed(r, k, cutoff)
+        oracle_amps, oracle_tail = subtracted_squeezed_oracle(r, k, cutoff)
+        assert np.max(np.abs(amps - oracle_amps)) < 1e-15
+        assert tail == pytest.approx(oracle_tail, rel=1e-12, abs=0)
+
+    def test_tail_falls_below_roundoff(self):
+        # the tail is summed directly, so it does not stall near 1e-16
+        v = squeezed_vacuum(1.5, 1e-300)
+        assert v.tail_mass < 1e-300
+        assert v.cutoff == 12864
 
 
 class TestFockState:
