@@ -17,7 +17,6 @@ from .distinguishability import (
     BranchSet,
     bhattacharyya_coeff,
     both_measures,
-    complement_mixture,
     d_bc,
     d_kd,
     dfs_kd_closed_form,
@@ -74,7 +73,6 @@ __all__ = [
     "both_measures",
     "build",
     "coherent_state",
-    "complement_mixture",
     "css",
     "d_bc",
     "d_kd",

@@ -17,16 +17,15 @@ import numpy as np
 
 # d_kd is unused here but the perfbench/spans.py tracer still wraps catalog.d_kd
 from .distinguishability import BranchSet, d_kd
-from .errors import DegenerateSubtractionError, InvalidArgumentError, UnsupportedRangeError
-# subtract_photons, like d_kd, is unused here but wrapped by that tracer
+from .errors import InvalidArgumentError, UnsupportedRangeError
+# squeezed_vacuum and subtract_photons, like d_kd, are unused here but
+# wrapped by that tracer
 from .fock import (
     FockVector,
-    _check_tail_tolerance,
-    _squeezed,
+    _squeezed_states,
     coherent_state,
     displace,
     fock_state,
-    from_amplitudes,
     squeezed_vacuum,
     subtract_photons,
     superpose,
@@ -89,25 +88,7 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
         raise UnsupportedRangeError(f"psv requires 0 <= r <= 2.5, got {r}")
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
-    # the squeezed vacuum's cutoff follows the tolerance and scaled_cutoffs
-    cutoff = squeezed_vacuum(-r).cutoff
-    if r == 0.0:
-        raise DegenerateSubtractionError(f"a^{m} annihilates the vacuum")
-    if m + 2 > cutoff:  # a core needs m + 2 levels and O(m^2) time
-        raise UnsupportedRangeError(
-            f"m = {m} does not fit the {cutoff} levels of the squeezed vacuum"
-        )
-    tol = _check_tail_tolerance()
-    subtracted = []
-    for k in (m, m + 1):
-        amps, tail = _squeezed(-r, k, cutoff)
-        if tail >= tol:
-            raise UnsupportedRangeError(
-                f"a^{k} at r = {r} leaves a truncation tail of {tail:.3g} beyond "
-                f"{cutoff} levels, above the tolerance {tol:g}"
-            )
-        subtracted.append(from_amplitudes(amps, tail_mass=tail))
-    u, v = subtracted
+    u, v = _squeezed_states(-r, (m, m + 1))
     # u and v have opposite photon-number parity, hence are orthogonal
     b1 = superpose(u, v, +1)
     b2 = superpose(u, v, -1)

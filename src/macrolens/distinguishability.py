@@ -1,4 +1,4 @@
-"""Branch sets, complement mixtures, and distinguishability measures.
+"""Branch sets and their distinguishability measures.
 
 Given branches |b_k> with coefficients c_k, an observer who collapses the
 heralding mode sees the mixture rho = sum_k |c_k|^2 |b_k><b_k|.  The two
@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError, MacrolensError
-from .fock import Ensemble, FockVector
+from .fock import FockVector
 from .measurement import (
     HOMODYNE,
     DetectorModel,
@@ -88,18 +88,6 @@ class BranchSet:
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
-
-
-def complement_mixture(branch_set: BranchSet, k: int) -> Ensemble:
-    """Renormalized mixture of every branch except branch k (0-based)."""
-    if not 0 <= k < branch_set.size:
-        raise InvalidArgumentError(
-            f"branch index {k} out of range for {branch_set.size} branches"
-        )
-    weights = branch_set.weights
-    rest = [(weights[l], branch_set.branches[l]) for l in range(branch_set.size) if l != k]
-    total = sum(w for w, _ in rest)
-    return Ensemble(tuple((w / total, s) for w, s in rest))
 
 
 def _overlap_and_kd(dists, weights) -> tuple[float, float]:

@@ -186,17 +186,40 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
     r > 0 squeezes the x quadrature: var(x) = e^{-2r}/2, var(p) = e^{2r}/2.
     Only even photon numbers are populated.
     """
+    return _squeezed_states(r, (0,), tail_tolerance)[0]
+
+
+def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -> list:
+    """The normalized a^k S(r)|0> for each k in ``ks``, as FockVectors on one
+    cutoff, grown from max(16, 20 e^{2|r|}) until every one of their tails is
+    below the tolerance (a^k reweights the squeezed vacuum's tail by about
+    n^k, and the parity of the cutoff decides which k loses a level).
+    """
     tol = _check_tail_tolerance(tail_tolerance)
     r = float(r)
     if not math.isfinite(r):
         raise InvalidArgumentError("r must be finite")
     if abs(r) > 3.0:
         raise UnsupportedRangeError(f"|r| = {abs(r)} exceeds the supported 3.0")
-    if r == 0.0:
-        return fock_state(0, 16)
+    if r == 0.0:  # S(0) = 1, so a^k annihilates it for every k >= 1
+        if max(ks) > 0:
+            raise DegenerateSubtractionError(f"a^{min(ks)} annihilates the vacuum")
+        return [fock_state(0, 16)]
     cutoff = max(16, math.ceil(20.0 * math.exp(2.0 * abs(r))))
-    _, amps, tail = _grow_cutoff(lambda levels: _squeezed(r, 0, levels), cutoff, tol)
-    return from_amplitudes(amps, tail_mass=tail)
+    # a^k S(r)|0> = S(r) (cosh r a - sinh r a^dag)^k |0>, whose core needs
+    # k + 1 levels (and psv's frame O(k^2) time): refuse a k the start cannot hold
+    if max(ks) + 1 > cutoff:
+        raise UnsupportedRangeError(
+            f"a^{max(ks)} does not fit the {cutoff} levels of the squeezed vacuum"
+        )
+
+    def expand(levels: int):
+        pairs = [_squeezed(r, k, levels) for k in ks]
+        return pairs, max(tail for _, tail in pairs)
+
+    # the vectors are built after the growth: at rho >= 1 _squeezed returns zeros
+    _, pairs, _ = _grow_cutoff(expand, cutoff, tol)
+    return [from_amplitudes(amps, tail_mass=tail) for amps, tail in pairs]
 
 
 def _squeezed(r: float, k: int, cutoff: int) -> tuple[np.ndarray, float]:

@@ -16,7 +16,7 @@ from macrolens import (
     from_amplitudes,
     moments,
     psv,
-    squeezed_vacuum,
+    scaled_cutoffs,
 )
 from macrolens.catalog import FAMILIES, PARAM_NAMES
 from macrolens.errors import (
@@ -104,18 +104,42 @@ class TestPsv:
     @pytest.mark.parametrize("m", (3, 4, 5))
     def test_branch_tails_are_the_subtraction_tails(self, monkeypatch, m):
         # u and v drop the exact mass of a^m S|0> and a^(m+1) S|0> beyond the
-        # squeezed vacuum's cutoff (tests/test_fock.py checks _squeezed
-        # against mpmath); each branch adds them by Cauchy-Schwarz
+        # branches' cutoff (tests/test_fock.py checks _squeezed against
+        # mpmath); each branch adds them by Cauchy-Schwarz
         from macrolens.fock import _squeezed
 
         monkeypatch.setenv("MACROLENS_TAIL_TOL", "1e-6")
-        cutoff = squeezed_vacuum(-2.5).cutoff
-        tails = [_squeezed(-2.5, k, cutoff)[1] for k in (m, m + 1)]
+        branches = psv(2.5, m).branch_set.branches
+        tails = [_squeezed(-2.5, k, 2969)[1] for k in (m, m + 1)]
         expected = (math.sqrt(tails[0]) + math.sqrt(tails[1])) ** 2 / 2
-        for b in psv(2.5, m).branch_set.branches:
-            assert b.cutoff == cutoff
+        for b in branches:
+            assert b.cutoff == 2969  # the start levels already meet 1e-6
             assert b.tail_mass == pytest.approx(expected, rel=1e-12)
             assert b.tail_mass > 1e-14
+
+    @pytest.mark.parametrize("tol", ("1e-12", "1e-16", "1e-24"))
+    def test_every_small_m_meets_the_tolerance(self, monkeypatch, tol):
+        # the cutoff grows until a^m S|0> and a^(m+1) S|0> both drop less than
+        # the tolerance; m = 7 at r = 0.05 and 1e-24 grows for a^7 alone
+        from macrolens.fock import _squeezed
+
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", tol)
+        for m in range(1, 8):
+            for r in (0.05, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5):
+                branches = psv(r, m).branch_set.branches
+                cutoff = branches[0].cutoff
+                assert max(_squeezed(-r, k, cutoff)[1] for k in (m, m + 1)) < float(tol)
+                assert max(b.tail_mass for b in branches) < float(tol)
+
+    @pytest.mark.parametrize("r, m, cutoff", [
+        (2.5, 1, 2969), (1.0, 3, 148),  # fit the start levels, as before
+        (1.0, 5, 296), (2.5, 4, 5938), (0.5, 40, 220), (1.0, 100, 1184),  # grew
+    ])
+    def test_cutoffs_and_their_scaling(self, r, m, cutoff):
+        assert psv(r, m).branch_set.branches[0].cutoff == cutoff
+        with scaled_cutoffs(2):
+            for b in psv(r, m).branch_set.branches:
+                assert b.cutoff == 2 * cutoff
 
     def test_branch_tails_are_honest(self):
         # a^4 reweights the squeezed vacuum's tail by about n^4

@@ -19,7 +19,6 @@ from macrolens import (
     bhattacharyya_coeff,
     both_measures,
     coherent_state,
-    complement_mixture,
     css,
     d_bc,
     d_kd,
@@ -101,25 +100,7 @@ def recording_hermite(monkeypatch):
     return n_maxes
 
 
-class TestComplementMixture:
-    def test_two_branches(self):
-        bs = two_coherent_branches(1.0)
-        comp = complement_mixture(bs, 0)
-        weights = [w for w, _ in comp.components]
-        assert weights == [pytest.approx(1.0)]
-        assert comp.components[0][1].fidelity(coherent_state(-1.0)) > 1 - 1e-10
-
-    def test_three_branches_reweighted(self):
-        coeffs = np.array([math.sqrt(0.5), math.sqrt(0.25), math.sqrt(0.25)])
-        bs = BranchSet(coeffs, (fock_state(0, 4), fock_state(1, 4), fock_state(2, 4)))
-        comp = complement_mixture(bs, 0)
-        weights = sorted(w for w, _ in comp.components)
-        assert weights == [pytest.approx(0.5), pytest.approx(0.5)]
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            complement_mixture(two_coherent_branches(1.0), 2)
-
+class TestBranchSet:
     def test_unnormalized_coefficients_rejected(self):
         with pytest.raises(InvalidArgumentError):
             BranchSet(np.array([1.0, 1.0]), (fock_state(0, 4), fock_state(1, 4)))
@@ -356,7 +337,9 @@ class TestBranchMeasures:
 
         bc, kd = 0.0, 0.0
         for k, (w, branch) in enumerate(zip(bs.weights, bs.branches)):
-            p, q = dists(branch, complement_mixture(bs, k))
+            rest = [(bs.weights[l], bs.branches[l]) for l in range(bs.size) if l != k]
+            total = sum(v for v, _ in rest)
+            p, q = dists(branch, Ensemble(tuple((v / total, s) for v, s in rest)))
             bc += w * (1.0 - bhattacharyya_coeff(p, q))
             kd += w * kolmogorov_distance(p, q)
         assert both_measures(bs, detector) == pytest.approx((bc, kd), abs=1e-12)

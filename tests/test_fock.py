@@ -154,6 +154,27 @@ class TestSqueezedVacuum:
         assert np.max(np.abs(amps - oracle_amps)) < 1e-15
         assert tail == pytest.approx(oracle_tail, rel=1e-12, abs=0)
 
+    def test_subtracted_pair_grows_on_both_tails(self):
+        # at 23 levels a^8 S|0> already drops less than 1e-24 but a^7 S|0>
+        # does not: the parity of the cutoff decides which one loses a level
+        from macrolens.fock import _squeezed, _squeezed_states
+
+        assert _squeezed(-0.05, 8, 23)[1] < 1e-24 <= _squeezed(-0.05, 7, 23)[1]
+        u, v = _squeezed_states(-0.05, (7, 8), 1e-24)
+        assert u.cutoff == v.cutoff == 46
+        assert max(u.tail_mass, v.tail_mass) < 1e-24
+
+    def test_subtracted_pair_refusals(self):
+        from macrolens.fock import _squeezed_states
+
+        with pytest.raises(DegenerateSubtractionError):
+            _squeezed_states(0.0, (1, 2))
+        with pytest.raises(UnsupportedRangeError, match="does not fit"):
+            _squeezed_states(-0.5, (100, 101))  # 55 start levels
+        with pytest.raises(UnsupportedRangeError, match="stalls"):
+            # every tail is 1 at 2969 and at 5938 levels
+            _squeezed_states(-2.5, (300, 301))
+
     def test_tail_falls_below_roundoff(self):
         # the tail is summed directly, so it does not stall near 1e-16
         v = squeezed_vacuum(1.5, 1e-300)
