@@ -38,6 +38,8 @@ def _check_steps_bound(steps: int) -> None:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return f"{value:.12g}"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -296,10 +298,12 @@ def _figure_wigner(steps: int) -> ResultTable:
     extent = 5.0
     sup = wigner(state.psi_minus, (-extent, extent), (-extent, extent), steps)
     mix = wigner(mixture, (-extent, extent), (-extent, extent), steps)
-    rows = []
-    for i, x in enumerate(sup.xs):
-        for j, p in enumerate(sup.ps):
-            rows.append([x, p, sup.values[i, j], mix.values[i, j]])
+    rows = np.column_stack((
+        np.repeat(sup.xs, sup.ps.size),
+        np.tile(sup.ps, sup.xs.size),
+        sup.values.ravel(),
+        mix.values.ravel(),
+    )).tolist()
     meta = _base_metadata(
         figure="wigner",
         alpha=alpha,

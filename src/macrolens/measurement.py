@@ -38,6 +38,12 @@ _BLUR_BLOCK = 8192
 # evaluations.  Each step adds a few ulp of relative error; unchecked, the
 # drift reaches 7.6e-13 over the 361-outcome runs of sigma = 20.
 _BLUR_REANCHOR = 16
+# Levels of a Hermite table held at once (2 MB on 2048 points), whatever the
+# cutoff: homodyne_pdfs and wigner multiply one block of levels at a time.
+_HERMITE_BLOCK = 128
+# Largest array wigner may allocate: Hermite-block cells on its sampling grid,
+# or (x point, y step) pairs of its Fourier integral.
+_MAX_WIGNER_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,31 @@ class Pmf:
         return np.nonzero(self.probabilities > self.probabilities.max() * 1e-16)[0]
 
 
+def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
+    """Yield (levels, psi_levels(xs)) for the levels 0..n_max in consecutive
+    blocks of at most `size` rows, all from one running recurrence."""
+    gauss_log = -0.5 * xs * xs
+    prev = np.zeros_like(xs)
+    cur = np.full_like(xs, math.pi ** -0.25)
+    expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
+    factor = np.exp(expo + gauss_log)  # changes only when expo does
+    rescale = 120.0 * math.log(10.0)
+    for start in range(0, n_max + 1, size):
+        levels = range(start, min(start + size, n_max + 1))
+        out = np.empty((len(levels), xs.size))
+        for row, n in zip(out, levels):
+            if n:
+                nxt = math.sqrt(2.0 / n) * xs * cur - math.sqrt((n - 1) / n) * prev
+                prev, cur = cur, nxt
+                while (big := np.abs(cur) > 1e120).any():
+                    prev[big] *= 1e-120
+                    cur[big] *= 1e-120
+                    expo[big] += rescale
+                    factor = np.exp(expo + gauss_log)
+            row[:] = cur * factor
+        yield slice(levels.start, levels.stop), out
+
+
 def hermite_functions(x, n_max: int):
     """Harmonic-oscillator eigenfunctions psi_n(x) for n = 0..n_max.
 
@@ -176,24 +207,17 @@ def hermite_functions(x, n_max: int):
         raise InvalidArgumentError("n_max must be >= 0")
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1, xs.size))
-    gauss_log = -0.5 * xs * xs
-    prev = np.zeros_like(xs)
-    cur = np.full_like(xs, math.pi ** -0.25)
-    expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
-    factor = np.exp(expo + gauss_log)  # changes only when expo does
-    out[0] = cur * factor
-    rescale = 120.0 * math.log(10.0)
-    for n in range(n_max):
-        nxt = math.sqrt(2.0 / (n + 1)) * xs * cur - math.sqrt(n / (n + 1)) * prev
-        prev, cur = cur, nxt
-        while (big := np.abs(cur) > 1e120).any():
-            prev[big] *= 1e-120
-            cur[big] *= 1e-120
-            expo[big] += rescale
-            factor = np.exp(expo + gauss_log)
-        out[n + 1] = cur * factor
+    ((_, out),) = _hermite_blocks(xs, n_max, n_max + 1)
     return out[:, 0] if scalar else out
+
+
+def _hermite_product(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """coefficients @ hermite_functions(xs, K - 1) for real coefficients of
+    shape (rows, K), summed one block of levels at a time."""
+    out = np.zeros((coefficients.shape[0], xs.size))
+    for levels, psi in _hermite_blocks(xs, coefficients.shape[1] - 1):
+        out += coefficients[:, levels] @ psi
+    return out
 
 
 def _check_grid(lo: float, hi: float) -> None:
@@ -215,6 +239,10 @@ def _components(subject) -> list[tuple[float, FockVector]]:
     raise InvalidArgumentError("subject must be a FockVector or Ensemble")
 
 
+def _padded_amplitudes(states, cutoff: int) -> np.ndarray:
+    return np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
+
+
 def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
     """Grid spanning every state's rotated mean +- 6(sqrt(var)+sigma)+1."""
     stats = [quadrature_stats(s, angle) for s in states]
@@ -225,16 +253,18 @@ def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[flo
 
 def homodyne_pdfs(states, angle: float, grid) -> list[Pdf]:
     """Quadrature distributions |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure
-    states on one grid, from one Hermite table and one real matrix product
-    of the real and imaginary rows of the rotated, zero-padded amplitudes."""
+    states on one grid, from one Hermite recurrence and one real matrix
+    product (per block of levels) of the real and imaginary rows of the
+    rotated, zero-padded amplitudes."""
     _require_rows(states)
     grid_min, grid_max, n_points = grid
     _check_grid(grid_min, grid_max)
     cutoff = max(s.cutoff for s in states)
-    psi = hermite_functions(np.linspace(grid_min, grid_max, n_points), cutoff - 1)
     phase = np.exp(-1j * np.arange(cutoff) * angle)
-    rotated = phase * np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
-    waves = np.concatenate([rotated.real, rotated.imag]) @ psi
+    rotated = phase * _padded_amplitudes(states, cutoff)
+    waves = _hermite_product(
+        np.concatenate([rotated.real, rotated.imag]), np.linspace(grid_min, grid_max, n_points)
+    )
     values = waves[: len(states)] ** 2 + waves[len(states) :] ** 2
     mass = np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=1).min()
     if mass < 1.0 - _MASS_TOL:
@@ -260,8 +290,7 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
 def pnrd_pmfs(states) -> list[Pmf]:
     """Photon-count distributions P(n) = |c_n|^2 of pure states, padded to one cutoff."""
     _require_rows(states)
-    cutoff = max(s.cutoff for s in states)
-    amplitudes = np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
+    amplitudes = _padded_amplitudes(states, max(s.cutoff for s in states))
     return [Pmf(p) for p in np.abs(amplitudes) ** 2]
 
 
@@ -386,43 +415,66 @@ class WignerField:
         return np.trapezoid(self.values, x=self.ps, axis=1)
 
 
-def _wigner_pure(state: FockVector, xgrid: np.ndarray, pgrid: np.ndarray) -> np.ndarray:
-    """W = sum_{m<=n} (2 - delta_mn) Re(c_m c_n^* W_mn), where W_mn, the Wigner
-    function of |m><n|, follows the iterative Laguerre recurrence of Johansson,
-    Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)."""
-    X, P = np.meshgrid(xgrid, pgrid, indexing="ij")
-    a = (X + 1j * P) / math.sqrt(2.0)
-    c = state.amplitudes
-    row = [np.exp(-2.0 * np.abs(a) ** 2) / math.pi]  # row[k] = W_{m, m+k}
-    for n in range(1, c.size):
-        row.append(2.0 * a * row[-1] / math.sqrt(n))
-    w = np.zeros(a.shape)
-    for m in range(c.size):
-        if m:
-            prev, sm = row, math.sqrt(m)
-            row = [(2.0 * np.conj(a) * prev[1] - sm * prev[0]) / sm]
-            for n in range(m + 1, c.size):
-                row.append((2.0 * a * row[-1] - sm * prev[n - m]) / math.sqrt(n))
-        weights = c[m] * np.conj(c[m:])
-        weights[1:] *= 2.0
-        w += sum(wk * wmn for wk, wmn in zip(weights, row)).real
-    return w
+def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """W(x, p) = (1/pi) sum_k w_k int psi_k^*(x + y) psi_k(x - y) e^{2ipy} dy on
+    xs × ps (Leonhardt, Measuring the Quantum State of Light (1997), ch. 3), by
+    the trapezoid rule over y >= 0: the integrand at -y is the conjugate of the
+    one at y.  With K the largest cutoff, every psi_k vanishes beyond
+    reach = sqrt(2K + 1) + 8 and the integrand's frequencies stay below
+    2(reach - 8 + max|p|), so a y step h <= pi / (reach + max|p|) aliases none
+    of them.  h is a whole number of steps of a grid u that divides the x step,
+    so every x_i +- y_j lies on u and one Hermite table on u gives every psi_k.
+    """
+    weights, states = zip(*components)
+    cutoff = max(s.cutoff for s in states)
+    reach = math.sqrt(2 * cutoff + 1) + 8.0
+    h_max = math.pi / (reach + float(np.abs(ps).max()))
+    dx = (xs[-1] - xs[0]) / (xs.size - 1)
+    refine = math.ceil(dx / h_max)  # u steps per x step
+    stride = max(1, math.floor(h_max * refine / dx))  # u steps per y step
+    n_y = math.ceil(reach * refine / (stride * dx)) + 1
+    margin = (n_y - 1) * stride
+    n_u = (xs.size - 1) * refine + 2 * margin + 1
+    if max(min(cutoff, _HERMITE_BLOCK) * n_u, xs.size * n_y) > _MAX_WIGNER_CELLS:
+        raise UnsupportedRangeError(
+            f"this phase-space grid needs more than {_MAX_WIGNER_CELLS} cells"
+            f" ({n_u} sample points, {n_y} y steps)"
+        )
+    step = dx / refine
+    amplitudes = _padded_amplitudes(states, cutoff)
+    waves = _hermite_product(
+        np.concatenate([amplitudes.real, amplitudes.imag]),
+        xs[0] + step * np.arange(-margin, n_u - margin),
+    )
+    waves = waves[: len(states)] + 1j * waves[len(states) :]
+    centre = margin + refine * np.arange(xs.size)[:, None]
+    offset = stride * np.arange(n_y)
+    products = sum(
+        w * np.conj(psi[centre + offset]) * psi[centre - offset] for w, psi in zip(weights, waves)
+    )
+    products[:, 1:] *= 2.0
+    h = stride * step
+    return (h / math.pi) * (products @ np.exp(2j * h * np.outer(np.arange(n_y), ps))).real
 
 
 def wigner(subject, x_range=(-5.0, 5.0), p_range=(-5.0, 5.0), n_points: int = 101) -> WignerField:
     """Wigner function W(x, p), normalized so that its double integral is 1.
 
     Marginals reproduce the homodyne distributions: integrating out p gives
-    the phi=0 quadrature PDF.
+    the phi=0 quadrature PDF.  W is evaluated as a Fourier integral from one
+    Hermite table and one matrix product (see _wigner_table).  Each range must
+    be finite with lo < hi; a grid needing more than 2**24 cells raises
+    UnsupportedRangeError.
     """
     if n_points < 2:
         raise InvalidArgumentError("n_points must be >= 2")
+    for name, (lo, hi) in (("x_range", x_range), ("p_range", p_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidArgumentError(f"{name} must be finite with lo < hi, got ({lo}, {hi})")
+        _check_grid(lo, hi)
     xs = np.linspace(x_range[0], x_range[1], n_points)
     ps = np.linspace(p_range[0], p_range[1], n_points)
-    values = np.zeros((n_points, n_points))
-    for weight, state in _components(subject):
-        values += weight * _wigner_pure(state, xs, ps)
-    field = WignerField(xs, ps, values)
+    field = WignerField(xs, ps, _wigner_table(_components(subject), xs, ps))
     if abs(field.integral() - 1.0) > 1e-4:
         raise GridCoverageError(
             f"phase-space grid captures {field.integral()} of the Wigner mass"

@@ -26,7 +26,6 @@ from macrolens import (
     dfs_kd_closed_form,
     error_probability,
     fock_state,
-    hermite_functions,
     homodyne_pdf,
     kolmogorov_distance,
     measurement,
@@ -89,14 +88,15 @@ def two_coherent_branches(alpha):
 
 
 def recording_hermite(monkeypatch):
-    """Record the n_max of every Hermite table that measurement builds."""
+    """Record the n_max of every Hermite recurrence that measurement runs."""
     n_maxes = []
+    blocks = measurement._hermite_blocks
 
-    def recording(x, n_max):
+    def recording(xs, n_max, *args):
         n_maxes.append(n_max)
-        return hermite_functions(x, n_max)
+        return blocks(xs, n_max, *args)
 
-    monkeypatch.setattr(measurement, "hermite_functions", recording)
+    monkeypatch.setattr(measurement, "_hermite_blocks", recording)
     return n_maxes
 
 

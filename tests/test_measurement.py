@@ -1,9 +1,14 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import macrolens
 from macrolens import (
     DetectorModel,
     Ensemble,
@@ -12,6 +17,7 @@ from macrolens import (
     blur_pdf,
     blur_pmf,
     coherent_state,
+    css,
     fock_state,
     hermite_functions,
     homodyne_pdf,
@@ -29,6 +35,8 @@ from macrolens.errors import (
     UsePmfDirectly,
 )
 from macrolens.measurement import (
+    _HERMITE_BLOCK,
+    _hermite_product,
     blur_pdfs,
     blur_pmfs,
     default_homodyne_grid,
@@ -65,6 +73,31 @@ class TestHermiteFunctions:
         var = math.exp(4.0) / 2.0
         expect = np.exp(-pdf.xs**2 / (2 * var)) / math.sqrt(2 * math.pi * var)
         assert np.max(np.abs(pdf.values - expect)) < 1e-8
+
+    @pytest.mark.parametrize("levels", (_HERMITE_BLOCK, 3 * _HERMITE_BLOCK + 5))
+    def test_blocked_product_matches_one_table(self, levels):
+        rng = np.random.default_rng(7)
+        coefficients = rng.standard_normal((3, levels))
+        xs = np.linspace(-30.0, 30.0, 401)
+        blocked = _hermite_product(coefficients, xs)
+        whole = coefficients @ hermite_functions(xs, levels - 1)
+        if levels <= _HERMITE_BLOCK:
+            assert np.array_equal(blocked, whole)
+        else:
+            assert np.max(np.abs(blocked - whole)) < 1e-13 * np.max(np.abs(whole))
+
+    def test_homodyne_holds_one_block_of_levels(self):
+        # 2000 levels on 2048 points would be a 33 MB table
+        state = fock_state(1, 2000)
+        tracemalloc.start()
+        try:
+            (pdf,) = homodyne_pdfs([state], 0.0, (-8.0, 8.0, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        expected = homodyne_pdf(fock_state(1, 2), 0.0, (-8.0, 8.0, 2048)).values
+        assert np.max(np.abs(pdf.values - expected)) < 1e-14
 
 
 class TestHomodynePdf:
@@ -210,6 +243,10 @@ class TestEmptyInputs:
             call()
 
 
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestWigner:
     def test_vacuum_origin_value(self):
         w = wigner(fock_state(0, 8), (-5, 5), (-5, 5), 101)
@@ -241,6 +278,97 @@ class TestWigner:
     def test_grid_coverage(self):
         with pytest.raises(GridCoverageError):
             wigner(coherent_state(3.0), (-1, 1), (-1, 1), 64)
+
+    def test_figure1_fields_match_closed_forms(self):
+        # cat (|a> - |-a>) and 50/50 mixture at a = 1.5 on figure 1's grid,
+        # against their closed forms at 40 digits
+        mp = pytest.importorskip("mpmath")
+        alpha, tol = 1.5, 1e-16
+        cat = css(alpha, tail_tolerance=tol).psi_minus
+        mix = Ensemble(
+            ((0.5, coherent_state(alpha, tol)), (0.5, coherent_state(-alpha, tol)))
+        )
+        w_cat = wigner(cat, (-5, 5), (-5, 5), 81)
+        w_mix = wigner(mix, (-5, 5), (-5, 5), 81)
+        with mp.workdps(40):
+            x0 = mp.sqrt(2) * alpha
+            norm = 1 / (2 * (1 - mp.exp(-2 * mp.mpf(alpha) ** 2)))
+            err_cat = err_mix = 0.0
+            for i, x in enumerate(w_cat.xs):
+                for j, p in enumerate(w_cat.ps):
+                    x, p = mp.mpf(float(x)), mp.mpf(float(p))
+                    peaks = mp.exp(-((x - x0) ** 2) - p**2) + mp.exp(-((x + x0) ** 2) - p**2)
+                    fringe = 2 * mp.exp(-(x**2) - p**2) * mp.cos(2 * x0 * p)
+                    exact_cat = float(norm * (peaks - fringe) / mp.pi)
+                    err_cat = max(err_cat, abs(exact_cat - w_cat.values[i, j]))
+                    err_mix = max(err_mix, abs(float(peaks / (2 * mp.pi)) - w_mix.values[i, j]))
+        assert err_cat <= 3.9e-16
+        assert err_mix <= 2.8e-16
+
+    def test_squeezed_vacuum_gaussian(self):
+        # 148 levels on (-8, 8)^2; a per-pair Laguerre recurrence diverges here
+        r = 1.0
+        w = wigner(squeezed_vacuum(r, 1e-16), (-8, 8), (-8, 8), 121)
+        x, p = np.meshgrid(w.xs, w.ps, indexing="ij")
+        expected = np.exp(-(x**2) * math.exp(2 * r) - p**2 * math.exp(-2 * r)) / math.pi
+        assert np.max(np.abs(w.values - expected)) < 1e-9
+
+    def test_ensemble_with_unequal_cutoffs(self):
+        one, coh = fock_state(1, 4), coherent_state(1.5)
+        assert one.cutoff != coh.cutoff
+        mix = wigner(Ensemble(((0.25, one), (0.75, coh))), (-6, 6), (-6, 6), 61)
+        parts = [wigner(s, (-6, 6), (-6, 6), 61).values for s in (one, coh)]
+        assert np.max(np.abs(mix.values - (0.25 * parts[0] + 0.75 * parts[1]))) < 1e-14
+
+    def test_memory_stays_small(self):
+        state = coherent_state(1.5, 1e-16)
+        tracemalloc.start()
+        try:
+            wigner(state, (-5, 5), (-5, 5), 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_range, p_range, error", [
+        ((math.nan, 5), (-5, 5), InvalidArgumentError),
+        ((-5, 5), (-5, math.inf), InvalidArgumentError),
+        ((1, 1), (-5, 5), InvalidArgumentError),
+        ((-5, 5), (0, 0), InvalidArgumentError),
+        ((5, -5), (-5, 5), InvalidArgumentError),
+        ((-5, 5), (5, -5), InvalidArgumentError),
+        ((-1e200, 1e200), (-5, 5), UnsupportedRangeError),
+        ((-1e100, 1e100), (-5, 5), UnsupportedRangeError),
+    ], ids=["nan", "inf", "zero-width-x", "zero-width-p", "reversed-x", "reversed-p",
+            "x-squared-overflows", "x-grid-too-fine"])
+    def test_ranges_refused(self, x_range, p_range, error):
+        with pytest.raises(error):
+            wigner(coherent_state(1.0), x_range, p_range, 41)
+
+    def test_wide_p_range_refused_before_allocating(self):
+        # +-1e6 in p needs 5.5e6 y steps; the refusal must come before any
+        # array, so run it where an allocation of 2 GiB fails
+        code = (
+            "import tracemalloc\n"
+            "from macrolens import coherent_state, wigner\n"
+            "from macrolens.errors import UnsupportedRangeError\n"
+            "state = coherent_state(1.0)\n"
+            "tracemalloc.start()\n"
+            "try:\n"
+            "    wigner(state, (-5, 5), (-1e6, 1e6), 41)\n"
+            "except UnsupportedRangeError:\n"
+            "    print('refused', tracemalloc.get_traced_memory()[1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+            timeout=120, preexec_fn=_capped_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                 "PYTHONPATH": os.path.dirname(os.path.dirname(macrolens.__file__))},
+        )
+        word, peak = proc.stdout.split()
+        assert word == "refused"
+        assert int(peak) < 1e6
 
     def test_complex_coherent_gaussian(self):
         # a complex amplitude pins the sign of p: a mirrored p would fail
