@@ -26,6 +26,7 @@ from .fock import (
     coherent_state,
     displace,
     fock_state,
+    pad_to_cutoff,
     squeezed_vacuum,
     subtract_photons,
     superpose,
@@ -55,13 +56,19 @@ def _two_branch(b1: FockVector, b2: FockVector, family: str,
 
 
 def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
-    """Coherent state superposition: branches |alpha> and |-alpha>."""
+    """Coherent state superposition: branches |alpha> and |-alpha>.
+
+    |+-alpha> = D(+-alpha)|0> is the vacuum moved to x = +-sqrt(2) alpha, so
+    the branch set carries the frame ((|0>, |0>) at those shifts), from
+    which homodyne detection at phi = 0 is exact.
+    """
     alpha = float(alpha)
     if not (0.0 < alpha <= 4.0):
         raise UnsupportedRangeError(f"css requires 0 < alpha <= 4, got {alpha}")
     b1 = coherent_state(alpha, tail_tolerance)
     b2 = coherent_state(-alpha, tail_tolerance)
-    return _two_branch(b1, b2, "css", {"alpha": alpha})
+    vac, shift = fock_state(0, 1), math.sqrt(2.0) * alpha
+    return _two_branch(b1, b2, "css", {"alpha": alpha}, frame=(0.0, (vac, vac), (shift, -shift)))
 
 
 def psv(r: float, m: int = 1) -> TwoBranchState:
@@ -94,7 +101,7 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     b2 = superpose(u, v, -1)
     core_u, core_v = _core(r, m), _core(r, m + 1)
     cores = (superpose(core_u, core_v, +1), superpose(core_u, core_v, -1))
-    return _two_branch(b1, b2, "psv", {"r": r, "m": m}, frame=(r, cores))
+    return _two_branch(b1, b2, "psv", {"r": r, "m": m}, frame=(r, cores, (0.0, 0.0)))
 
 
 def _core(r: float, m: int) -> FockVector:
@@ -112,15 +119,21 @@ def _core(r: float, m: int) -> FockVector:
 
 
 def dfs(alpha: float) -> TwoBranchState:
-    """Displaced Fock superposition: branches D(alpha)(|0> +- |1>)/sqrt(2)."""
+    """Displaced Fock superposition: branches D(alpha)(|0> +- |1>)/sqrt(2).
+
+    The branch set carries the frame of its two-level cores (|0> +- |1>)/sqrt(2)
+    moved to x = sqrt(2) alpha, from which homodyne detection at phi = 0 is
+    exact.
+    """
     alpha = float(alpha)
     if not (0.0 <= alpha <= 4.0):
         raise UnsupportedRangeError(f"dfs requires 0 <= alpha <= 4, got {alpha}")
-    vac = fock_state(0, 4)
-    one = fock_state(1, 4)
-    b1 = displace(superpose(vac, one, +1), alpha)
-    b2 = displace(superpose(vac, one, -1), alpha)
-    return _two_branch(b1, b2, "dfs", {"alpha": alpha})
+    vac, one = fock_state(0, 2), fock_state(1, 2)
+    cores = (superpose(vac, one, +1), superpose(vac, one, -1))
+    # the 4 input levels set where the displaced branches' cutoffs start
+    b1, b2 = (displace(pad_to_cutoff(core, 4), alpha) for core in cores)
+    shift = math.sqrt(2.0) * alpha
+    return _two_branch(b1, b2, "dfs", {"alpha": alpha}, frame=(0.0, cores, (shift, shift)))
 
 
 # family -> (name of its swept parameter, constructor reading its own keywords)

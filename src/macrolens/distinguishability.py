@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -32,7 +31,9 @@ from .measurement import (
     blur_pdfs,
     blur_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
     blur_pmfs,
+    checked_rows,
     default_homodyne_grid,
+    frame_pdfs,
     homodyne_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     homodyne_pdfs,
     pnrd_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
@@ -52,10 +53,11 @@ _HALVES = np.array([0.5, 0.5])
 class BranchSet:
     """Coefficients c_k and normalized branches |b_k>, k = 0..B-1.
 
-    An optional ``frame = (stretch, cores)`` states that branch k is also
-    S(-stretch) applied to ``cores[k]``, a FockVector on a few levels,
-    where S(-r) = exp[(r/2)(a^dag^2 - a^2)] stretches x by e^r.  Homodyne
-    detection at phi = 0 then reads the cores instead of the branches.
+    An optional ``frame = (stretch, cores, shifts)`` states that branch k is
+    also D(shifts[k]) S(-stretch) applied to ``cores[k]``, a FockVector on a
+    few levels, where S(-r) = exp[(r/2)(a^dag^2 - a^2)] stretches x by e^r
+    and D(s) moves x by s.  Homodyne detection at phi = 0 then reads the
+    cores instead of the branches.
     """
 
     coefficients: np.ndarray
@@ -72,8 +74,10 @@ class BranchSet:
         for b in branches:
             if not isinstance(b, FockVector):
                 raise InvalidArgumentError("branches must be FockVectors")
-        if self.frame is not None and len(self.frame[1]) != len(branches):
-            raise InvalidArgumentError("frame cores and branches differ in length")
+        if self.frame is not None and not (
+            len(self.frame) == 3 and len(self.frame[1]) == len(self.frame[2]) == len(branches)
+        ):
+            raise InvalidArgumentError("a frame needs one core and one shift per branch")
         total = float(np.sum(np.abs(coeffs) ** 2))
         if abs(total - 1.0) > 1e-10:
             raise InvalidArgumentError(f"sum |c_k|^2 = {total}, expected 1")
@@ -90,27 +94,37 @@ class BranchSet:
         return np.abs(self.coefficients) ** 2
 
 
-def _overlap_and_kd(dists, weights) -> tuple[float, float]:
-    """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) on a shared support.
+def _stacked(dists) -> tuple[np.ndarray, tuple | None]:
+    """The rows of Pdfs on one grid, or of Pmfs on one support (grid None)."""
+    first = dists[0]
+    if all(isinstance(d, Pdf) for d in dists):
+        if not all(first.same_grid(d) for d in dists):
+            raise GridMismatchError("pdfs live on different grids")
+        return np.stack([d.values for d in dists]), first.grid
+    if all(isinstance(d, Pmf) for d in dists):
+        if any(d.cutoff != first.cutoff for d in dists):
+            raise GridMismatchError("pmfs have different supports")
+        return np.stack([d.probabilities for d in dists]), None
+    raise GridMismatchError("cannot compare a Pdf with a Pmf")
+
+
+def _overlap_and_kd(rows: np.ndarray, grid, weights) -> tuple[float, float]:
+    """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) of the B x G table of
+    densities on ``grid``, or of probabilities when grid is None.
 
     Q_k, the distribution of the complement mixture of branch k, is the
     weight-average of the other rows (measurement and blur are linear in the
     state): one product with the row-normalized, off-diagonal weights.
     """
-    first = dists[0]
-    if all(isinstance(d, Pdf) for d in dists):
-        if not all(first.same_grid(d) for d in dists):
-            raise GridMismatchError("pdfs live on different grids")
-        rows = np.stack([d.values for d in dists])
-        integrate = partial(np.trapezoid, dx=first.dx)
-    elif all(isinstance(d, Pmf) for d in dists):
-        if any(d.cutoff != first.cutoff for d in dists):
-            raise GridMismatchError("pmfs have different supports")
-        rows = np.stack([d.probabilities for d in dists])
-        integrate = np.sum
+    if grid is None:
+        def integrate(y):
+            return y.sum()
     else:
-        raise GridMismatchError("cannot compare a Pdf with a Pmf")
-    mix = weights * (1.0 - np.eye(len(dists)))
+        dx = (grid[1] - grid[0]) / (grid[2] - 1)
+
+        def integrate(y):  # np.trapezoid(y, dx=dx), without its per-call overhead
+            return (dx * (y[1:] + y[:-1]) / 2.0).sum()
+    mix = weights * (1.0 - np.eye(len(rows)))
     mix /= mix.sum(axis=1, keepdims=True)
     complements = mix @ rows
     # one row at a time, so the integrands and their temporaries stay 1 x G
@@ -130,13 +144,13 @@ def _clamp01(value: float, name: str) -> float:
 
 def bhattacharyya_coeff(p, q) -> float:
     """Overlap Omega = integral sqrt(P*Q); 1 for identical distributions."""
-    return _clamp01(_overlap_and_kd([p, q], _HALVES)[0], "bhattacharyya")
+    return _clamp01(_overlap_and_kd(*_stacked([p, q]), _HALVES)[0], "bhattacharyya")
 
 
 def kolmogorov_distance(p, q) -> float:
     """KD = (1/2) integral |P - Q|; related to the single-shot error
     probability through PE = (1 - KD) / 2."""
-    return _clamp01(_overlap_and_kd([p, q], _HALVES)[1], "kolmogorov")
+    return _clamp01(_overlap_and_kd(*_stacked([p, q]), _HALVES)[1], "kolmogorov")
 
 
 def error_probability(kd: float) -> float:
@@ -144,42 +158,43 @@ def error_probability(kd: float) -> float:
     return (1.0 - kd) / 2.0
 
 
-def _frame_pdfs(stretch: float, cores, grid) -> list[Pdf]:
-    """x distributions of S(-stretch) applied to each core.  S(-r) dilates
-    the x wavefunction, psi(x) = e^{-r/2} chi(x e^{-r}), so the Hermite
-    table needs only the cores' levels."""
-    lo, hi, n_points = grid
-    shrink = math.exp(-stretch)
-    pdfs = homodyne_pdfs(cores, 0.0, (lo * shrink, hi * shrink, n_points))
-    return [Pdf(lo, hi, n_points, p.values * shrink) for p in pdfs]
+def _branch_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
+    """The branches' outcome distributions as one checked B x G table, and its
+    grid: densities, or photon-count probabilities when the grid is None.
+
+    Homodyne detection at phi = 0 of a branch set with a frame is evaluated
+    on its cores; every other case uses the branches' Fock amplitudes.
+    Photon counting at sigma <= _SHARP_PNRD_SIGMA keeps the unblurred
+    probabilities, which equal the blurred densities to double precision.
+    """
+    branches = branch_set.branches
+    if detector.kind != HOMODYNE:
+        rows, grid = pnrd_pmfs(branches), None
+        if detector.sigma > _SHARP_PNRD_SIGMA:
+            rows, grid = blur_pmfs(rows, detector.sigma)
+    else:
+        grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
+        if branch_set.frame is not None and detector.angle == 0.0:
+            rows = frame_pdfs(*branch_set.frame, grid)
+        else:
+            rows = homodyne_pdfs(branches, detector.angle, grid)
+        rows, grid = blur_pdfs(rows, grid, detector.sigma)
+    return checked_rows(rows, grid), grid
 
 
 def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list:
     """Per-branch outcome distributions, aligned on one shared grid and
-    blurred by the detector resolution.
-
-    Homodyne detection at phi = 0 of a branch set with a frame is evaluated
-    on its cores; every other case uses the branches' Fock amplitudes.
-    Photon counting at sigma <= _SHARP_PNRD_SIGMA returns the unblurred
-    Pmfs, which equal the blurred ones to double precision.
-    """
-    branches = branch_set.branches
-    if detector.kind != HOMODYNE:
-        rows = pnrd_pmfs(branches)
-        return blur_pmfs(rows, detector.sigma) if detector.sigma > _SHARP_PNRD_SIGMA else rows
-    grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
-    if branch_set.frame is not None and detector.angle == 0.0:
-        rows = _frame_pdfs(*branch_set.frame, grid)
-    else:
-        rows = homodyne_pdfs(branches, detector.angle, grid)
-    return blur_pdfs(rows, detector.sigma)
+    blurred by the detector resolution: Pdfs, or Pmfs for photon counting at
+    sigma <= _SHARP_PNRD_SIGMA (see _branch_rows)."""
+    rows, grid = _branch_rows(branch_set, detector)
+    if grid is None:
+        return [Pmf(row) for row in rows]
+    return [Pdf(*grid, row) for row in rows]
 
 
 def both_measures(branch_set: BranchSet, detector: DetectorModel) -> tuple[float, float]:
-    """(D_BC, D_KD) computed from one shared set of outcome distributions."""
-    overlap, kd = _overlap_and_kd(
-        branch_distributions(branch_set, detector), branch_set.weights
-    )
+    """(D_BC, D_KD) computed from one shared table of outcome distributions."""
+    overlap, kd = _overlap_and_kd(*_branch_rows(branch_set, detector), branch_set.weights)
     return _clamp01(1.0 - overlap, "d_bc"), _clamp01(kd, "d_kd")
 
 

@@ -19,8 +19,9 @@ from ._version import __version__
 from .catalog import FAMILIES, PARAM_NAMES, TwoBranchState, build, css
 from .distinguishability import both_measures, dfs_kd_closed_form
 from .errors import InvalidArgumentError, UnsupportedRangeError
-from .fock import Ensemble, coherent_state, moments
-from .macroscopicity import n_fluct, report
+from .fock import Ensemble, coherent_state
+# n_fluct is unused here but the perfbench/spans.py tracer still wraps figures.n_fluct
+from .macroscopicity import n_fluct, photon_numbers, report
 from .measurement import DetectorModel, wigner
 
 CONVENTION = "x=(a+adag)/sqrt(2); p=(a-adag)/(i*sqrt(2)); vacuum var=1/2"
@@ -221,11 +222,11 @@ def _evaluate(family: str, values, detectors, m: int = 1) -> list:
     points = []
     for value in values:
         state = build(family, **{PARAM_NAMES[family]: float(value)}, m=m)
-        psis = (state.psi_plus, state.psi_minus)
+        n, mean_n = zip(*(photon_numbers(psi) for psi in (state.psi_plus, state.psi_minus)))
         points.append(_Point(
             value=float(value),
-            n_fluct=tuple(n_fluct(psi) for psi in psis),
-            mean_n=tuple(moments(psi).mean_n for psi in psis),
+            n_fluct=n,
+            mean_n=mean_n,
             d_by_detector={det: both_measures(state.branch_set, det) for det in detectors},
             cutoff=_max_cutoff(state),
             fixed_params=_fixed_params(state),

@@ -348,8 +348,9 @@ def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
     """Normalized superposition (a + sign*b) / ||a + sign*b||."""
     if sign not in (+1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    n = max(a.cutoff, b.cutoff)
-    combined = pad_to_cutoff(a, n).amplitudes + sign * pad_to_cutoff(b, n).amplitudes
+    combined = np.zeros(max(a.cutoff, b.cutoff), dtype=complex)
+    combined[: a.cutoff] = a.amplitudes
+    combined[: b.cutoff] += sign * b.amplitudes
     nrm = np.linalg.norm(combined)
     if nrm <= 1e-10:
         raise DegenerateSuperpositionError("components cancel destructively")

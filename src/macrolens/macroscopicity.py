@@ -38,12 +38,17 @@ def n_fluct(state: FockVector) -> float:
     Mixed states are rejected: for them the quadrature variances blend
     quantum and classical statistics and the measure is not defined here.
     """
+    return photon_numbers(state)[0]
+
+
+def photon_numbers(state: FockVector) -> tuple[float, float]:
+    """(N, <n>) of a pure state from one moments evaluation (see n_fluct)."""
     if isinstance(state, Ensemble):
         raise UnsupportedMixedStateError(
             "fluctuation photon number is only defined for pure states"
         )
     mom = moments(state)
-    return max(0.0, mom.mean_n - abs(mom.mean_a) ** 2)
+    return max(0.0, mom.mean_n - abs(mom.mean_a) ** 2), mom.mean_n
 
 
 def m_subjective(superposition_n: float, distinguishability: float) -> float:
@@ -66,11 +71,11 @@ def report(two_branch, sign: int, detector: DetectorModel) -> MacroReport:
     if sign not in (+1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
     psi = two_branch.psi_plus if sign == +1 else two_branch.psi_minus
-    n = n_fluct(psi)
+    n, mean_n = photon_numbers(psi)
     dist_bc, dist_kd = both_measures(two_branch.branch_set, detector)
     return MacroReport(
         n_fluct=n,
-        mean_n=moments(psi).mean_n,
+        mean_n=mean_n,
         d_bc=dist_bc,
         d_kd=dist_kd,
         m_bc=m_subjective(n, dist_bc),

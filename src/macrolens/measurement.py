@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     GridCoverageError,
-    GridMismatchError,
     InvalidArgumentError,
     UnsupportedRangeError,
     UsePmfDirectly,
@@ -41,6 +40,10 @@ _BLUR_REANCHOR = 16
 # Levels of a Hermite table held at once (2 MB on 2048 points), whatever the
 # cutoff: homodyne_pdfs and wigner multiply one block of levels at a time.
 _HERMITE_BLOCK = 128
+# |x| below which the Hermite recurrence never needs rescaling: it carries
+# psi_n(x) e^{x^2/2}, and Cramer's bound |psi_n| <= 0.816 keeps that below
+# 1e120 there
+_UNSCALED_REACH = 23.5
 # Largest array wigner may allocate: Hermite-block cells on its sampling grid,
 # or (x point, y step) pairs of its Fourier integral.
 _MAX_WIGNER_CELLS = 2**24
@@ -77,6 +80,42 @@ class DetectorModel:
         return cls(PNRD, sigma=sigma)
 
 
+def checked_rows(values: np.ndarray, grid) -> np.ndarray:
+    """One row, or a table of rows, of outcome distributions with the checks
+    of a Pdf sampled on ``grid`` = (grid_min, grid_max, n_points), or of a Pmf
+    when grid is None: every value finite and at least -1e-12, and every
+    row's mass within tolerance of 1.  Clips negative values to 0 in place
+    and returns the values, made read-only."""
+    if grid is None:
+        kind, tol = "pmf", 1e-8
+    else:
+        kind, tol = "pdf", _MASS_TOL
+        grid_min, grid_max, n_points = grid
+        if n_points < 64:
+            raise InvalidArgumentError("a Pdf needs at least 64 grid points")
+        if not (math.isfinite(grid_min) and math.isfinite(grid_max)):
+            raise InvalidArgumentError("grid bounds must be finite")
+        if grid_max <= grid_min:
+            raise InvalidArgumentError("grid_max must exceed grid_min")
+        if values.shape[-1] != n_points:
+            raise InvalidArgumentError("values length must equal n_points")
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{kind} has a non-finite value")
+    lowest = values.min()
+    if lowest < -1e-12:
+        raise InvalidArgumentError(f"{kind} has a negative value {lowest} below the noise floor")
+    np.clip(values, 0.0, None, out=values)
+    if grid is None:
+        mass = np.ravel(values.sum(axis=-1))
+    else:
+        mass = np.ravel(np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=-1))
+    worst = mass[np.abs(mass - 1.0).argmax()]
+    if abs(worst - 1.0) > tol:
+        raise InvalidArgumentError(f"{kind} has mass {worst}, expected 1")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Pdf:
     """Probability density sampled on a uniform grid."""
@@ -87,31 +126,18 @@ class Pdf:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n_points < 64:
-            raise InvalidArgumentError("a Pdf needs at least 64 grid points")
-        if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
-            raise InvalidArgumentError("grid bounds must be finite")
-        if self.grid_max <= self.grid_min:
-            raise InvalidArgumentError("grid_max must exceed grid_min")
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.n_points,):
-            raise InvalidArgumentError("values length must equal n_points")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError("pdf has a non-finite value")
-        if vals.min() < -1e-12:
-            raise InvalidArgumentError(
-                f"pdf has a negative value {vals.min()} below the noise floor"
-            )
-        np.clip(vals, 0.0, None, out=vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        mass = self.integral()
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise InvalidArgumentError(f"pdf integrates to {mass}, expected 1")
+        if vals.ndim != 1:
+            raise InvalidArgumentError("pdf values must be a 1-D sequence")
+        object.__setattr__(self, "values", checked_rows(vals, self.grid))
 
     @property
     def xs(self) -> np.ndarray:
         return np.linspace(self.grid_min, self.grid_max, self.n_points)
+
+    @property
+    def grid(self) -> tuple[float, float, int]:
+        return self.grid_min, self.grid_max, self.n_points
 
     @property
     def dx(self) -> float:
@@ -128,11 +154,7 @@ class Pdf:
         return float(np.trapezoid((self.xs - mu) ** 2 * self.values, dx=self.dx))
 
     def same_grid(self, other: "Pdf") -> bool:
-        return (
-            self.n_points == other.n_points
-            and self.grid_min == other.grid_min
-            and self.grid_max == other.grid_max
-        )
+        return self.grid == other.grid
 
 
 @dataclass(frozen=True)
@@ -145,16 +167,7 @@ class Pmf:
         probs = np.array(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidArgumentError("probabilities must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidArgumentError("pmf has a non-finite entry")
-        if probs.min() < -1e-12:
-            raise InvalidArgumentError("pmf has a significantly negative entry")
-        np.clip(probs, 0.0, None, out=probs)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise InvalidArgumentError(f"pmf sums to {total}, expected 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", checked_rows(probs, None))
 
     @property
     def cutoff(self) -> int:
@@ -162,8 +175,12 @@ class Pmf:
 
     @property
     def support(self) -> np.ndarray:
-        """Outcomes above 1e-16 of the largest probability."""
-        return np.nonzero(self.probabilities > self.probabilities.max() * 1e-16)[0]
+        return _support(self.probabilities)
+
+
+def _support(probabilities: np.ndarray) -> np.ndarray:
+    """Outcomes above 1e-16 of the largest probability."""
+    return np.nonzero(probabilities > probabilities.max() * 1e-16)[0]
 
 
 def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
@@ -175,6 +192,7 @@ def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
     expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
     factor = np.exp(expo + gauss_log)  # changes only when expo does
     rescale = 120.0 * math.log(10.0)
+    scan = np.abs(xs).max(initial=0.0) >= _UNSCALED_REACH  # else no rescale can fire
     for start in range(0, n_max + 1, size):
         levels = range(start, min(start + size, n_max + 1))
         out = np.empty((len(levels), xs.size))
@@ -182,7 +200,7 @@ def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
             if n:
                 nxt = math.sqrt(2.0 / n) * xs * cur - math.sqrt((n - 1) / n) * prev
                 prev, cur = cur, nxt
-                while (big := np.abs(cur) > 1e120).any():
+                while scan and (big := np.abs(cur) > 1e120).any():
                     prev[big] *= 1e-120
                     cur[big] *= 1e-120
                     expo[big] += rescale
@@ -240,7 +258,10 @@ def _components(subject) -> list[tuple[float, FockVector]]:
 
 
 def _padded_amplitudes(states, cutoff: int) -> np.ndarray:
-    return np.stack([np.pad(s.amplitudes, (0, cutoff - s.cutoff)) for s in states])
+    out = np.zeros((len(states), cutoff), dtype=complex)
+    for row, s in zip(out, states):
+        row[: s.cutoff] = s.amplitudes
+    return out
 
 
 def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
@@ -251,27 +272,57 @@ def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[flo
     return min(means) - spread, max(means) + spread, DEFAULT_GRID_POINTS
 
 
-def homodyne_pdfs(states, angle: float, grid) -> list[Pdf]:
-    """Quadrature distributions |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure
-    states on one grid, from one Hermite recurrence and one real matrix
-    product (per block of levels) of the real and imaginary rows of the
-    rotated, zero-padded amplitudes."""
-    _require_rows(states)
+def _densities(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """|sum_n a_kn psi_n(x)|^2 for each row k of the amplitudes at the points
+    xs: one Hermite recurrence and one real matrix product (per block of
+    levels) of the real and imaginary rows of the amplitudes."""
+    b = amplitudes.shape[0]
+    waves = _hermite_product(np.concatenate([amplitudes.real, amplitudes.imag]), xs)
+    return waves[:b] ** 2 + waves[b:] ** 2
+
+
+def _covering(values: np.ndarray, grid) -> np.ndarray:
+    """The density rows, or GridCoverageError if a row misses mass on the grid."""
     grid_min, grid_max, n_points = grid
-    _check_grid(grid_min, grid_max)
-    cutoff = max(s.cutoff for s in states)
-    phase = np.exp(-1j * np.arange(cutoff) * angle)
-    rotated = phase * _padded_amplitudes(states, cutoff)
-    waves = _hermite_product(
-        np.concatenate([rotated.real, rotated.imag]), np.linspace(grid_min, grid_max, n_points)
-    )
-    values = waves[: len(states)] ** 2 + waves[len(states) :] ** 2
     mass = np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=1).min()
     if mass < 1.0 - _MASS_TOL:
         raise GridCoverageError(
             f"grid [{grid_min}, {grid_max}] captures only {mass} of the state"
         )
-    return [Pdf(grid_min, grid_max, n_points, v) for v in values]
+    return values
+
+
+def homodyne_pdfs(states, angle: float, grid) -> np.ndarray:
+    """Quadrature densities |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure states
+    on one grid, one row per state, from the rotated, zero-padded amplitudes."""
+    _require_rows(states)
+    _check_grid(grid[0], grid[1])
+    cutoff = max(s.cutoff for s in states)
+    phase = np.exp(-1j * np.arange(cutoff) * angle)
+    rotated = phase * _padded_amplitudes(states, cutoff)
+    return _covering(_densities(rotated, np.linspace(*grid)), grid)
+
+
+def frame_pdfs(stretch: float, cores, shifts, grid) -> np.ndarray:
+    """x densities of the states D(shifts[k]) S(-stretch) cores[k] on one grid,
+    one row per core, where D(s) moves x by s and S(-r) stretches it by e^r:
+    psi_k(x) = e^{-r/2} chi_k((x - s_k) e^{-r}).  So the Hermite recurrence
+    needs only the cores' levels, over the shifted, shrunk copies of the grid."""
+    _require_rows(cores)
+    grid_min, grid_max, n_points = grid
+    _check_grid(grid_min, grid_max)
+    shrink = math.exp(-stretch)
+    xs = np.stack([
+        np.linspace((grid_min - s) * shrink, (grid_max - s) * shrink, n_points) for s in shifts
+    ])
+    amplitudes = _padded_amplitudes(cores, max(c.cutoff for c in cores))
+    # one table over every copy; core k meets only its own copy's columns
+    psi = hermite_functions(xs.ravel(), amplitudes.shape[1] - 1).reshape(-1, len(cores), n_points)
+    rows = np.empty((len(cores), n_points))
+    for k, core in enumerate(amplitudes):
+        real, imag = np.stack([core.real, core.imag]) @ psi[:, k]
+        rows[k] = real**2 + imag**2
+    return _covering(rows * shrink, grid)
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -283,61 +334,63 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     weights, states = zip(*_components(subject))
     if grid is None:
         grid = default_homodyne_grid(states, angle)
-    pdfs = homodyne_pdfs(states, angle, grid)
-    return Pdf(*grid, sum(w * p.values for w, p in zip(weights, pdfs)))
+    rows = homodyne_pdfs(states, angle, grid)
+    return Pdf(*grid, sum(w * row for w, row in zip(weights, rows)))
 
 
-def pnrd_pmfs(states) -> list[Pmf]:
-    """Photon-count distributions P(n) = |c_n|^2 of pure states, padded to one cutoff."""
+def pnrd_pmfs(states) -> np.ndarray:
+    """Photon-count probabilities P(n) = |c_n|^2 of pure states, one row per
+    state, padded to one cutoff."""
     _require_rows(states)
-    amplitudes = _padded_amplitudes(states, max(s.cutoff for s in states))
-    return [Pmf(p) for p in np.abs(amplitudes) ** 2]
+    return np.abs(_padded_amplitudes(states, max(s.cutoff for s in states))) ** 2
 
 
 def pnrd_pmf(subject) -> Pmf:
     """Photon-count distribution P(n) = |c_n|^2 (weight-averaged for mixtures)."""
     weights, states = zip(*_components(subject))
-    return Pmf(sum(w * p.probabilities for w, p in zip(weights, pnrd_pmfs(states))))
+    return Pmf(sum(w * row for w, row in zip(weights, pnrd_pmfs(states))))
 
 
-def blur_pdfs(pdfs, sigma: float) -> list[Pdf]:
-    """Convolve Pdfs that share one grid with one Gaussian kernel of width
-    sigma, extending the grid by 6 sigma on both sides so no mass leaves it."""
-    _require_rows(pdfs)
+def blur_pdfs(rows: np.ndarray, grid, sigma: float) -> tuple[np.ndarray, tuple]:
+    """Density rows on one grid convolved with one Gaussian kernel of width
+    sigma, and the grid extended by 6 sigma on both sides so no mass leaves it."""
+    _require_rows(rows)
+    grid_min, grid_max, n_points = grid
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != n_points:
+        raise InvalidArgumentError("blur_pdfs needs one row of n_points values per density")
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
-        return list(pdfs)
-    first = pdfs[0]
-    if not all(first.same_grid(p) for p in pdfs):
-        raise GridMismatchError("pdfs live on different grids")
-    _check_grid(first.grid_min - 6.0 * sigma, first.grid_max + 6.0 * sigma)
-    dx = first.dx
+        return rows, grid
+    _check_grid(grid_min - 6.0 * sigma, grid_max + 6.0 * sigma)
+    dx = (grid_max - grid_min) / (n_points - 1)
     pad = math.ceil(6.0 * sigma / dx)
     offsets = np.arange(-pad, pad + 1) * dx
     with np.errstate(over="ignore"):  # an overflowing exponent gives exactly 0
         kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()  # discrete normalization preserves sum(v)*dx
-    grid = (first.grid_min - pad * dx, first.grid_max + pad * dx, first.n_points + 2 * pad)
     # the full convolution of a row spans exactly the grid extended by pad cells
-    return [Pdf(*grid, np.convolve(p.values, kernel, mode="full")) for p in pdfs]
+    blurred = np.stack([np.convolve(row, kernel, mode="full") for row in rows])
+    return blurred, (grid_min - pad * dx, grid_max + pad * dx, n_points + 2 * pad)
 
 
 def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
     """Convolve a Pdf with a Gaussian kernel of width sigma (see blur_pdfs)."""
-    return blur_pdfs([pdf], sigma)[0]
+    rows, grid = blur_pdfs(pdf.values[None], pdf.grid, sigma)
+    return Pdf(*grid, rows[0]) if sigma > 0.0 else pdf
 
 
-def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
-    """Pmfs read out with Gaussian noise: mixtures of width-sigma Gaussians
-    centered on the integer outcomes, on one grid over lambda in
-    [-6 sigma, top + 6 sigma], top being the largest significant outcome of any Pmf."""
-    _require_rows(pmfs)
+def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
+    """Photon-count rows read out with Gaussian noise: mixtures of width-sigma
+    Gaussians centered on the integer outcomes, as density rows on one grid
+    over lambda in [-6 sigma, top + 6 sigma], top being the largest
+    significant outcome of any row; returns (rows, grid)."""
+    _require_rows(rows)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
         raise UsePmfDirectly("sigma = 0: keep using the discrete Pmf")
-    supports = [p.support for p in pmfs]
+    supports = [_support(row) for row in rows]
     # The grid covers the effective support only, with a step fixed at
     # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
     lo = -6.0 * sigma
@@ -356,10 +409,10 @@ def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
         raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
     # Every integer 0..top is an outcome, with weight 0 off a row's support;
     # adding +0.0 changes no bit.
-    weights = np.zeros((len(pmfs), top + 2))
-    for row, pmf, support in zip(weights, pmfs, supports):
-        row[support] = pmf.probabilities[support] * norm
-    values = np.zeros((len(pmfs), n_points))
+    weights = np.zeros((len(rows), top + 2))
+    for weight, row, support in zip(weights, rows, supports):
+        weight[support] = row[support] * norm
+    values = np.zeros((len(rows), n_points))
     # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
     # beyond that it is below e^-40.5 of its peak.  So cell j takes the
     # outcomes whose centres lie in [j - 144, j + 144], a run of consecutive
@@ -390,12 +443,13 @@ def blur_pmfs(pmfs, sigma: float) -> list[Pdf]:
                 ratio *= decay
             index[index >= stop] = top + 1
             block += weights.take(index, axis=1) * gauss
-    return [Pdf(lo, hi, n_points, v) for v in values]
+    return values, (lo, hi, n_points)
 
 
 def blur_pmf(pmf: Pmf, sigma: float) -> Pdf:
     """One Pmf read out with Gaussian noise of width sigma (see blur_pmfs)."""
-    return blur_pmfs([pmf], sigma)[0]
+    rows, grid = blur_pmfs(pmf.probabilities[None], sigma)
+    return Pdf(*grid, rows[0])
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ class TestOverlapAndKd:
     def test_rows_one_at_a_time_match_the_stacked_reduction(self, branch_set, detector):
         dists = branch_distributions(branch_set, detector)
         weights = branch_set.weights
-        got = distinguishability._overlap_and_kd(dists, weights)
+        got = distinguishability._overlap_and_kd(*distinguishability._stacked(dists), weights)
         assert got == stacked_overlap_and_kd(dists, weights)
 
     def test_peak_memory_holds_no_b_by_g_integrand(self):
@@ -211,7 +211,9 @@ class TestOverlapAndKd:
         row_bytes = dists[0].values.nbytes
         tracemalloc.start()
         try:
-            distinguishability._overlap_and_kd(dists, branch_set.weights)
+            distinguishability._overlap_and_kd(
+                *distinguishability._stacked(dists), branch_set.weights
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,12 +288,12 @@ class TestBranchMeasures:
         (psv(2.5).branch_set.branches, 20.0),
     ], ids=["zeros-0.5", "zeros-2.6", "css-1e-3", "css-0.03", "dfs-0.0584", "psv-20"])
     def test_blur_pmfs_matches_per_branch_loop(self, branches, sigma):
-        dists = blur_pmfs(pnrd_pmfs(branches), sigma)
+        values, (grid_min, grid_max, _) = blur_pmfs(pnrd_pmfs(branches), sigma)
         lo, hi, rows = blur_one_branch_at_a_time(branches, sigma)
-        for dist, row in zip(dists, rows, strict=True):
-            assert (dist.grid_min, dist.grid_max) == (lo, hi)
-            assert np.all(np.isfinite(dist.values))
-            np.testing.assert_allclose(dist.values, row, rtol=1e-13, atol=0)
+        assert (grid_min, grid_max) == (lo, hi)
+        assert np.all(np.isfinite(values))
+        for value, row in zip(values, rows, strict=True):
+            np.testing.assert_allclose(value, row, rtol=1e-13, atol=0)
 
     def test_blurred_pnrd_unequal_cutoffs(self):
         # cutoffs 4 and 41 whose supports barely overlap: each row lives on
@@ -333,7 +335,10 @@ class TestBranchMeasures:
                 return [blur_pdf(homodyne_pdf(s, grid=grid), detector.sigma)
                         for s in (branch, complement)]
             pmfs = [pmf(branch), pmf(complement)]
-            return blur_pmfs(pmfs, detector.sigma) if detector.sigma > 0.0 else pmfs
+            if detector.sigma == 0.0:
+                return pmfs
+            rows, grid = blur_pmfs(np.stack([p.probabilities for p in pmfs]), detector.sigma)
+            return [Pdf(*grid, row) for row in rows]
 
         bc, kd = 0.0, 0.0
         for k, (w, branch) in enumerate(zip(bs.weights, bs.branches)):
@@ -436,18 +441,62 @@ class TestSqueezedFrame:
     def test_without_frame_the_fock_path_is_unchanged(self, make, angle, sigma):
         branch_set = replace(make(), frame=None)
         grid = default_homodyne_grid(branch_set.branches, angle, sigma)
-        rows = homodyne_pdfs(branch_set.branches, angle, grid)
-        expected = blur_pdfs(rows, sigma) if sigma > 0.0 else rows
+        rows, grid = blur_pdfs(homodyne_pdfs(branch_set.branches, angle, grid), grid, sigma)
         dists = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
-        for dist, row in zip(dists, expected, strict=True):
-            assert dist.same_grid(row)
-            assert np.array_equal(dist.values, row.values)
+        for dist, row in zip(dists, rows, strict=True):
+            assert dist.grid == grid
+            assert np.array_equal(dist.values, row)
 
     def test_frame_needs_one_core_per_branch(self):
-        branch_set = psv(1.0).branch_set
-        stretch, cores = branch_set.frame
-        with pytest.raises(InvalidArgumentError):
-            replace(branch_set, frame=(stretch, cores[:1]))
+        for state in (psv(1.0), css(1.5), dfs(2.0)):
+            stretch, cores, shifts = state.branch_set.frame
+            for frame in ((stretch, cores[:1], shifts), (stretch, cores, shifts[:1]),
+                          (stretch, cores)):
+                with pytest.raises(InvalidArgumentError):
+                    replace(state.branch_set, frame=frame)
+
+
+class TestDisplacedFrames:
+    """css and dfs homodyne at phi = 0 read their one- or two-level cores moved
+    along x; the Fock path on the branches is their oracle."""
+
+    def test_css_bhattacharyya_closed_form(self):
+        # no truncation left: the trapezoid rule is spectrally exact on Gaussians
+        det = DetectorModel.homodyne()
+        for alpha in np.linspace(0.05, 3.0, 60):
+            expected = 1.0 - math.exp(-2.0 * alpha**2)
+            assert abs(d_bc(css(alpha).branch_set, det) - expected) <= 1e-12
+
+    def test_dfs_bhattacharyya_does_not_depend_on_alpha(self):
+        # the cores are read on the grid moved with them, so only alpha's
+        # rounding of the grid remains
+        det = DetectorModel.homodyne()
+        values = [d_bc(dfs(alpha).branch_set, det) for alpha in np.linspace(0.1, 4.0, 40)]
+        assert max(values) - min(values) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("make", [
+        partial(css, 0.05), partial(css, 1.5), partial(css, 4.0),
+        partial(dfs, 0.0), partial(dfs, 1.3), partial(dfs, 4.0),
+    ], ids=["css-0.05", "css-1.5", "css-4", "dfs-0", "dfs-1.3", "dfs-4"])
+    def test_frame_matches_fock_path_at_doubled_cutoffs(self, make, sigma):
+        det = DetectorModel.homodyne(sigma=sigma)
+        with scaled_cutoffs(2):
+            branch_set = make().branch_set
+            frame_bc, frame_kd = both_measures(branch_set, det)
+            fock_bc, fock_kd = both_measures(replace(branch_set, frame=None), det)
+        assert abs(frame_bc - fock_bc) <= 1e-12
+        assert abs(frame_kd - fock_kd) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", (0.0, 1.0))
+    @pytest.mark.parametrize("make, n_max", [
+        (partial(css, 1.5), 0),
+        (partial(dfs, 2.0), 1),
+    ], ids=["css", "dfs"])
+    def test_hermite_table_stops_at_the_core(self, monkeypatch, make, n_max, sigma):
+        n_maxes = recording_hermite(monkeypatch)
+        both_measures(make().branch_set, DetectorModel.homodyne(sigma=sigma))
+        assert n_maxes == [n_max]
 
 
 class TestSharpPnrd:
@@ -457,7 +506,7 @@ class TestSharpPnrd:
         dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
         for dist, row in zip(dists, pnrd_pmfs(branch_set.branches), strict=True):
             assert isinstance(dist, Pmf)
-            assert np.array_equal(dist.probabilities, row.probabilities)
+            assert np.array_equal(dist.probabilities, row)
         assert both_measures(branch_set, DetectorModel.pnrd(sigma=sigma)) == both_measures(
             branch_set, DetectorModel.pnrd()
         )

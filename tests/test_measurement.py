@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import resource
@@ -29,15 +30,16 @@ from macrolens import (
 )
 from macrolens.errors import (
     GridCoverageError,
-    GridMismatchError,
     InvalidArgumentError,
     UnsupportedRangeError,
     UsePmfDirectly,
 )
+from macrolens import measurement
 from macrolens.measurement import (
     _HERMITE_BLOCK,
     _hermite_product,
     blur_pdfs,
+    checked_rows,
     blur_pmfs,
     default_homodyne_grid,
     homodyne_pdfs,
@@ -91,13 +93,43 @@ class TestHermiteFunctions:
         state = fock_state(1, 2000)
         tracemalloc.start()
         try:
-            (pdf,) = homodyne_pdfs([state], 0.0, (-8.0, 8.0, 2048))
+            (row,) = homodyne_pdfs([state], 0.0, (-8.0, 8.0, 2048))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
         expected = homodyne_pdf(fock_state(1, 2), 0.0, (-8.0, 8.0, 2048)).values
-        assert np.max(np.abs(pdf.values - expected)) < 1e-14
+        assert np.max(np.abs(row - expected)) < 1e-14
+
+
+def hermite_tables_equal(monkeypatch, xs, n_max, reach) -> bool:
+    """Whether _hermite_blocks gives the same bits as it does with its scan
+    threshold set to `reach`, compared one block of levels at a time."""
+    default = measurement._hermite_blocks(xs, n_max)
+    first = next(default)  # the generator decides on its scan when it starts
+    monkeypatch.setattr(measurement, "_UNSCALED_REACH", reach)
+    other = measurement._hermite_blocks(xs, n_max)
+    with np.errstate(all="ignore"):
+        return all(
+            np.array_equal(a, b)
+            for (_, a), (_, b) in zip(itertools.chain([first], default), other, strict=True)
+        )
+
+
+class TestHermiteScan:
+    """The overflow scan runs only on grids that reach |x| = 23.5."""
+
+    def test_skipped_scan_changes_no_bit(self, monkeypatch):
+        # psv's largest basis (r = 2.5) on |x| <= 20: a scan at every level
+        # never fires there
+        xs = np.linspace(-20.0, 20.0, 2048)
+        assert hermite_tables_equal(monkeypatch, xs, 2968, 0.0)
+
+    def test_wide_grid_still_rescales(self, monkeypatch):
+        xs = np.linspace(-40.0, 40.0, 2048)
+        assert hermite_tables_equal(monkeypatch, xs, 2968, 0.0)
+        # without the scan the recurrence overflows there
+        assert not hermite_tables_equal(monkeypatch, xs, 2968, math.inf)
 
 
 class TestHomodynePdf:
@@ -167,9 +199,9 @@ class TestBlurPdf:
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_one_kernel_needs_one_grid(self):
-        # the kernel is sampled at the grid step, so every row must share it
-        with pytest.raises(GridMismatchError):
-            blur_pdfs([homodyne_pdf(fock_state(0, 8)), homodyne_pdf(coherent_state(1.0))], 1.0)
+        # the kernel is sampled at the grid step, so every row must lie on the grid
+        with pytest.raises(InvalidArgumentError):
+            blur_pdfs(np.ones((2, 100)) / 10.0, (-5.0, 5.0, 256), 1.0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -178,16 +210,17 @@ class TestBlurPdf:
     @pytest.mark.parametrize("sigma", [0.05, 0.5, 2.0, 40.0])
     def test_matches_zero_padded_convolution(self, sigma):
         # at sigma = 40 the kernel is longer than the rows it blurs
-        rows = homodyne_pdfs([fock_state(0, 8), coherent_state(1.5)], 0.3, (-6.0, 8.0, 512))
-        dx = rows[0].dx
+        grid = (-6.0, 8.0, 512)
+        rows = homodyne_pdfs([fock_state(0, 8), coherent_state(1.5)], 0.3, grid)
+        dx = (grid[1] - grid[0]) / (grid[2] - 1)
         pad = math.ceil(6.0 * sigma / dx)
         kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * dx / sigma) ** 2)
         kernel /= kernel.sum()
-        for pdf, row in zip(blur_pdfs(rows, sigma), rows, strict=True):
-            assert (pdf.grid_min, pdf.grid_max, pdf.n_points) == (
-                row.grid_min - pad * dx, row.grid_max + pad * dx, row.n_points + 2 * pad)
-            padded = np.convolve(np.pad(row.values, pad), kernel, mode="same")
-            np.testing.assert_allclose(pdf.values, padded, rtol=1e-14, atol=0)
+        blurred, blurred_grid = blur_pdfs(rows, grid, sigma)
+        assert blurred_grid == (-6.0 - pad * dx, 8.0 + pad * dx, 512 + 2 * pad)
+        for value, row in zip(blurred, rows, strict=True):
+            padded = np.convolve(np.pad(row, pad), kernel, mode="same")
+            np.testing.assert_allclose(value, padded, rtol=1e-14, atol=0)
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_sigma_is_identity(self):
@@ -210,8 +243,10 @@ class TestBlurPmf:
     def test_resolved_peaks(self):
         from macrolens import kolmogorov_distance
 
-        two, one = blur_pmfs([Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0]))], 0.05)
-        assert kolmogorov_distance(two, one) == pytest.approx(0.5, abs=1e-6)
+        (two, one), grid = blur_pmfs(np.array([[0.5, 0.5], [1.0, 0.0]]), 0.05)
+        assert kolmogorov_distance(Pdf(*grid, two), Pdf(*grid, one)) == pytest.approx(
+            0.5, abs=1e-6
+        )
 
     def test_broad_blur_mass(self):
         pmf = pnrd_pmf(coherent_state(1.5))
@@ -219,24 +254,64 @@ class TestBlurPmf:
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_memory_stays_near_the_output(self):
-        # the output rows, their Pdf copies and one cell block's temporaries;
-        # an outcome-by-window array (2950 x 289 doubles here) would not fit
+        # the output rows and one cell block's temporaries; an
+        # outcome-by-window array (2950 x 289 doubles here) would not fit
         rows = pnrd_pmfs(psv(2.5).branch_set.branches)
         tracemalloc.start()
         try:
-            dists = blur_pmfs(rows, 1.0)
+            values, _ = blur_pmfs(rows, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * sum(d.values.nbytes for d in dists) + 2**20
+        assert peak < 3 * values.nbytes + 2**20
+
+
+class TestCheckedRows:
+    """One check of a whole table makes the checks of Pdf and Pmf on each row."""
+
+    @staticmethod
+    def row(grid):
+        if grid is None:
+            return np.array([0.25, 0.5, 0.25, 0.0])
+        xs = np.linspace(*grid)
+        return np.exp(-(xs**2)) / math.sqrt(math.pi)
+
+    @pytest.mark.parametrize("spoil", ["nan", "negative", "mass"])
+    @pytest.mark.parametrize("grid", [(-8.0, 8.0, 256), None], ids=["pdf", "pmf"])
+    def test_table_raises_what_one_row_raises(self, grid, spoil):
+        good = self.row(grid)
+        bad = good.copy()
+        if spoil == "nan":
+            bad[1] = np.nan
+        elif spoil == "negative":
+            bad[0] = -1e-9
+        else:
+            bad *= 1.01
+        with pytest.raises(InvalidArgumentError) as one:
+            Pmf(bad) if grid is None else Pdf(*grid, bad)
+        with pytest.raises(InvalidArgumentError) as table:
+            checked_rows(np.stack([good, bad]), grid)
+        assert str(table.value) == str(one.value)
+
+    @pytest.mark.parametrize("grid", [(-8.0, 8.0, 256), None], ids=["pdf", "pmf"])
+    def test_noise_floor_clipped_in_place(self, grid):
+        rows = np.stack([self.row(grid), self.row(grid)])
+        rows[1, -1] = -1e-13
+        checked = checked_rows(rows, grid)
+        assert checked is rows and not checked.flags.writeable
+        assert checked[1, -1] == 0.0
+
+    def test_table_needs_the_grid_length(self):
+        with pytest.raises(InvalidArgumentError):
+            checked_rows(np.ones((2, 100)) / 10.0, (-5.0, 5.0, 101))
 
 
 class TestEmptyInputs:
     @pytest.mark.parametrize("call", [
         lambda: homodyne_pdfs([], 0.0, (-5.0, 5.0, 256)),
         lambda: pnrd_pmfs([]),
-        lambda: blur_pmfs([], 1.0),
-        lambda: blur_pdfs([], 1.0),
+        lambda: blur_pmfs(np.empty((0, 4)), 1.0),
+        lambda: blur_pdfs(np.empty((0, 256)), (-5.0, 5.0, 256), 1.0),
     ], ids=["homodyne_pdfs", "pnrd_pmfs", "blur_pmfs", "blur_pdfs"])
     def test_no_rows_rejected(self, call):
         with pytest.raises(InvalidArgumentError):
