@@ -60,7 +60,7 @@ def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
 
     |+-alpha> = D(+-alpha)|0> is the vacuum moved to x = +-sqrt(2) alpha, so
     the branch set carries the frame ((|0>, |0>) at those shifts), from
-    which homodyne detection at phi = 0 is exact.
+    which homodyne detection at every angle is exact.
     """
     alpha = float(alpha)
     if not (0.0 < alpha <= 4.0):
@@ -87,7 +87,7 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
 
     a^k S|0> = S (cosh r a + sinh r a^dag)^k |0>, so each branch is also S
     applied to a core on m + 2 levels.  The branch set carries the cores as
-    its frame, from which homodyne detection at phi = 0 is evaluated in
+    its frame, from which homodyne detection at every angle is evaluated in
     closed form.
     """
     r = float(r)
@@ -122,8 +122,8 @@ def dfs(alpha: float) -> TwoBranchState:
     """Displaced Fock superposition: branches D(alpha)(|0> +- |1>)/sqrt(2).
 
     The branch set carries the frame of its two-level cores (|0> +- |1>)/sqrt(2)
-    moved to x = sqrt(2) alpha, from which homodyne detection at phi = 0 is
-    exact.
+    moved to x = sqrt(2) alpha, from which homodyne detection at every angle
+    is exact.
     """
     alpha = float(alpha)
     if not (0.0 <= alpha <= 4.0):

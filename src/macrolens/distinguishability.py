@@ -35,7 +35,6 @@ from .measurement import (
     default_homodyne_grid,
     frame_pdfs,
     homodyne_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
-    homodyne_pdfs,
     pnrd_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
     pnrd_pmfs,
 )
@@ -47,17 +46,21 @@ _CLAMP_SLACK = 1e-9
 # which is below 1e-16 for sigma up to this (about 0.058).
 _SHARP_PNRD_SIGMA = 1.0 / math.sqrt(8.0 * math.log(1e16))
 _HALVES = np.array([0.5, 0.5])
+# Largest |r| of a frame stretch whose e^{+-r} is a finite float
+_MAX_STRETCH = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class BranchSet:
     """Coefficients c_k and normalized branches |b_k>, k = 0..B-1.
 
-    An optional ``frame = (stretch, cores, shifts)`` states that branch k is
-    also D(shifts[k]) S(-stretch) applied to ``cores[k]``, a FockVector on a
-    few levels, where S(-r) = exp[(r/2)(a^dag^2 - a^2)] stretches x by e^r
-    and D(s) moves x by s.  Homodyne detection at phi = 0 then reads the
-    cores instead of the branches.
+    ``frame = (stretch, cores, shifts)`` states that branch k is also
+    D(shifts[k]) S(-stretch) applied to ``cores[k]``, a FockVector on a few
+    levels, where S(-r) = exp[(r/2)(a^dag^2 - a^2)] stretches x by e^r and
+    D(s) moves x by s.  Homodyne detection at every angle reads the cores
+    (see measurement.frame_pdfs).  Without a frame the branch set carries its
+    identity frame (0, branches, (0,) * B), which reads the branches
+    themselves; so a copy with new branches needs a new frame or None.
     """
 
     coefficients: np.ndarray
@@ -74,16 +77,20 @@ class BranchSet:
         for b in branches:
             if not isinstance(b, FockVector):
                 raise InvalidArgumentError("branches must be FockVectors")
-        if self.frame is not None and not (
-            len(self.frame) == 3 and len(self.frame[1]) == len(self.frame[2]) == len(branches)
-        ):
+        frame = (0.0, branches, (0.0,) * len(branches)) if self.frame is None else self.frame
+        if not (len(frame) == 3 and len(frame[1]) == len(frame[2]) == len(branches)):
             raise InvalidArgumentError("a frame needs one core and one shift per branch")
+        if not all(isinstance(core, FockVector) for core in frame[1]):
+            raise InvalidArgumentError("frame cores must be FockVectors")
+        if not (abs(frame[0]) <= _MAX_STRETCH and all(map(math.isfinite, frame[2]))):
+            raise InvalidArgumentError("a frame needs finite shifts and a finite e^|stretch|")
         total = float(np.sum(np.abs(coeffs) ** 2))
         if abs(total - 1.0) > 1e-10:
             raise InvalidArgumentError(f"sum |c_k|^2 = {total}, expected 1")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "frame", frame)
 
     @property
     def size(self) -> int:
@@ -162,10 +169,10 @@ def _branch_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
     """The branches' outcome distributions as one checked B x G table, and its
     grid: densities, or photon-count probabilities when the grid is None.
 
-    Homodyne detection at phi = 0 of a branch set with a frame is evaluated
-    on its cores; every other case uses the branches' Fock amplitudes.
-    Photon counting at sigma <= _SHARP_PNRD_SIGMA keeps the unblurred
-    probabilities, which equal the blurred densities to double precision.
+    Homodyne detection reads the branch set's frame at the detector's angle;
+    photon counting reads the branches' Fock amplitudes.  Photon counting at
+    sigma <= _SHARP_PNRD_SIGMA keeps the unblurred probabilities, which equal
+    the blurred densities to double precision.
     """
     branches = branch_set.branches
     if detector.kind != HOMODYNE:
@@ -174,10 +181,7 @@ def _branch_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
             rows, grid = blur_pmfs(rows, detector.sigma)
     else:
         grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
-        if branch_set.frame is not None and detector.angle == 0.0:
-            rows = frame_pdfs(*branch_set.frame, grid)
-        else:
-            rows = homodyne_pdfs(branches, detector.angle, grid)
+        rows = frame_pdfs(*branch_set.frame, detector.angle, grid)
         rows, grid = blur_pdfs(rows, grid, detector.sigma)
     return checked_rows(rows, grid), grid
 

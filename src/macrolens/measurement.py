@@ -38,7 +38,7 @@ _BLUR_BLOCK = 8192
 # drift reaches 7.6e-13 over the 361-outcome runs of sigma = 20.
 _BLUR_REANCHOR = 16
 # Levels of a Hermite table held at once (2 MB on 2048 points), whatever the
-# cutoff: homodyne_pdfs and wigner multiply one block of levels at a time.
+# cutoff: frame_pdfs and wigner multiply one block of levels at a time.
 _HERMITE_BLOCK = 128
 # |x| below which the Hermite recurrence never needs rescaling: it carries
 # psi_n(x) e^{x^2/2}, and Cramer's bound |psi_n| <= 0.816 keeps that below
@@ -292,37 +292,29 @@ def _covering(values: np.ndarray, grid) -> np.ndarray:
     return values
 
 
-def homodyne_pdfs(states, angle: float, grid) -> np.ndarray:
-    """Quadrature densities |sum_n c_n e^{-i n phi} psi_n(x)|^2 of pure states
-    on one grid, one row per state, from the rotated, zero-padded amplitudes."""
-    _require_rows(states)
-    _check_grid(grid[0], grid[1])
-    cutoff = max(s.cutoff for s in states)
-    phase = np.exp(-1j * np.arange(cutoff) * angle)
-    rotated = phase * _padded_amplitudes(states, cutoff)
-    return _covering(_densities(rotated, np.linspace(*grid)), grid)
-
-
-def frame_pdfs(stretch: float, cores, shifts, grid) -> np.ndarray:
-    """x densities of the states D(shifts[k]) S(-stretch) cores[k] on one grid,
-    one row per core, where D(s) moves x by s and S(-r) stretches it by e^r:
-    psi_k(x) = e^{-r/2} chi_k((x - s_k) e^{-r}).  So the Hermite recurrence
-    needs only the cores' levels, over the shifted, shrunk copies of the grid."""
+def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
+    """x_phi densities of the states D(shifts[k]) S(-stretch) cores[k] on one
+    grid, one row per core, where D(s) moves x by s and S(-r) stretches x by
+    e^r.  Their unitary U maps x_phi to lam x_theta + s_k cos(phi), with
+    lam e^{i theta} = e^r cos(phi) + i e^{-r} sin(phi), so row k is
+    |sum_n c_kn e^{-i n theta} psi_n((x - s_k cos(phi)) / lam)|^2 / lam: one
+    Hermite table of the cores' levels, over the distinct shifted, shrunk
+    copies of the grid.  Stretch 0 and shifts 0 read the cores themselves."""
     _require_rows(cores)
     grid_min, grid_max, n_points = grid
-    _check_grid(grid_min, grid_max)
-    shrink = math.exp(-stretch)
-    xs = np.stack([
-        np.linspace((grid_min - s) * shrink, (grid_max - s) * shrink, n_points) for s in shifts
+    wide, narrow = math.exp(stretch) * math.cos(angle), math.exp(-stretch) * math.sin(angle)
+    lam, theta = math.hypot(wide, narrow), math.atan2(narrow, wide)
+    moved = [s * math.cos(angle) for s in shifts]
+    offsets = sorted(set(moved))
+    _check_grid((grid_min - offsets[-1]) / lam, (grid_max - offsets[0]) / lam)
+    xs = np.concatenate([
+        np.linspace((grid_min - o) / lam, (grid_max - o) / lam, n_points) for o in offsets
     ])
-    amplitudes = _padded_amplitudes(cores, max(c.cutoff for c in cores))
-    # one table over every copy; core k meets only its own copy's columns
-    psi = hermite_functions(xs.ravel(), amplitudes.shape[1] - 1).reshape(-1, len(cores), n_points)
-    rows = np.empty((len(cores), n_points))
-    for k, core in enumerate(amplitudes):
-        real, imag = np.stack([core.real, core.imag]) @ psi[:, k]
-        rows[k] = real**2 + imag**2
-    return _covering(rows * shrink, grid)
+    cutoff = max(c.cutoff for c in cores)
+    rotated = np.exp(-1j * np.arange(cutoff) * theta) * _padded_amplitudes(cores, cutoff)
+    # one table over every copy; core k keeps only its own copy's columns
+    rows = _densities(rotated, xs).reshape(len(cores), len(offsets), n_points)
+    return _covering(rows[range(len(cores)), [offsets.index(o) for o in moved]] / lam, grid)
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -334,7 +326,7 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     weights, states = zip(*_components(subject))
     if grid is None:
         grid = default_homodyne_grid(states, angle)
-    rows = homodyne_pdfs(states, angle, grid)
+    rows = frame_pdfs(0.0, states, (0.0,) * len(states), angle, grid)
     return Pdf(*grid, sum(w * row for w, row in zip(weights, rows)))
 
 

@@ -448,18 +448,25 @@ class TestImports:
 
     def test_benchmark_tracer_installs(self):
         # perfbench/spans.py wraps module attributes by name and fails when
-        # one of them is gone; it patches modules, so it runs in a subprocess
-        spans = os.path.join(os.path.dirname(_package_path()), "perfbench", "spans.py")
-        code = (
-            "import importlib.util;"
-            f"spec = importlib.util.spec_from_file_location('spans', {spans!r});"
-            "module = importlib.util.module_from_spec(spec);"
-            "spec.loader.exec_module(module);"
-            "module.Tracer().install()"
-        )
+        # one of them is gone; it patches modules, so it runs in a subprocess,
+        # imported as the benchmark's traced worker imports it, and then
+        # traces one homodyne and one photon-counting point
+        perfbench = os.path.join(os.path.dirname(_package_path()), "perfbench")
+        code = "\n".join([
+            "from spans import Tracer",
+            "from macrolens import cli",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "tracer.begin_op('compute')",
+            "point = ['compute', '--family', 'psv', '--r', '1', '--detector']",
+            "assert cli.main(point + ['homodyne', '--angle', '0.3', '--sigma', '0']) == 0",
+            "assert cli.main(point + ['pnrd', '--sigma', '1']) == 0",
+            "assert tracer.spans",
+        ])
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": _package_path()},
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                 "PYTHONPATH": os.pathsep.join([perfbench, _package_path()])},
         )
         assert proc.returncode == 0, proc.stderr
 

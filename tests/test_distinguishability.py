@@ -42,7 +42,7 @@ from macrolens.measurement import (
     blur_pmf,
     blur_pmfs,
     default_homodyne_grid,
-    homodyne_pdfs,
+    frame_pdfs,
     pnrd_pmfs,
 )
 from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
@@ -401,15 +401,19 @@ class TestBranchMeasures:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-class TestSqueezedFrame:
-    """psv homodyne at phi = 0 reads the frame's cores; the Fock path on the
-    branches is its oracle."""
+ANGLES = (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5)
 
+
+class TestSqueezedFrame:
+    """psv homodyne reads the frame's cores at every angle; the Fock path on
+    the branches (their identity frame) is its oracle."""
+
+    @pytest.mark.parametrize("angle", ANGLES)
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("m", (1, 2, 3))
     @pytest.mark.parametrize("r", (0.05, 0.5, 1.0, 1.5, 2.0, 2.5))
-    def test_frame_matches_fock_path_at_doubled_cutoffs(self, r, m, sigma):
-        det = DetectorModel.homodyne(sigma=sigma)
+    def test_frame_matches_fock_path_at_doubled_cutoffs(self, r, m, sigma, angle):
+        det = DetectorModel.homodyne(angle, sigma)
         with scaled_cutoffs(2):
             branch_set = psv(r, m).branch_set
             frame_bc, frame_kd = both_measures(branch_set, det)
@@ -417,19 +421,17 @@ class TestSqueezedFrame:
         assert abs(frame_bc - fock_bc) <= 1e-12
         assert abs(frame_kd - fock_kd) <= 1e-12
 
+    @pytest.mark.parametrize("angle", (0.0, 0.3))
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_hermite_table_stops_at_the_core(self, monkeypatch, m, sigma):
+    def test_hermite_table_stops_at_the_core(self, monkeypatch, m, sigma, angle):
         n_maxes = recording_hermite(monkeypatch)
-        both_measures(psv(2.5, m).branch_set, DetectorModel.homodyne(sigma=sigma))
+        both_measures(psv(2.5, m).branch_set, DetectorModel.homodyne(angle, sigma))
         assert n_maxes == [m + 1]
 
-    def test_other_angles_take_the_fock_path(self, monkeypatch):
+    def test_p_quadrature_cannot_tell_the_branches_apart(self):
         # u and v are real with opposite parity: one p distribution
-        n_maxes = recording_hermite(monkeypatch)
-        branch_set = psv(1.0).branch_set
-        assert d_kd(branch_set, DetectorModel.homodyne(angle=math.pi / 2)) <= 1e-12
-        assert n_maxes == [max(b.cutoff for b in branch_set.branches) - 1]
+        assert d_kd(psv(1.0).branch_set, DetectorModel.homodyne(angle=math.pi / 2)) <= 1e-12
 
     @pytest.mark.parametrize("make, angle", [
         (lambda: psv(1.0).branch_set, 0.0),
@@ -440,8 +442,11 @@ class TestSqueezedFrame:
     @pytest.mark.parametrize("sigma", (0.0, 0.5))
     def test_without_frame_the_fock_path_is_unchanged(self, make, angle, sigma):
         branch_set = replace(make(), frame=None)
-        grid = default_homodyne_grid(branch_set.branches, angle, sigma)
-        rows, grid = blur_pdfs(homodyne_pdfs(branch_set.branches, angle, grid), grid, sigma)
+        branches = branch_set.branches
+        assert branch_set.frame == (0.0, branches, (0.0,) * len(branches))
+        grid = default_homodyne_grid(branches, angle, sigma)
+        rows = frame_pdfs(0.0, branches, (0.0, 0.0), angle, grid)
+        rows, grid = blur_pdfs(rows, grid, sigma)
         dists = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
         for dist, row in zip(dists, rows, strict=True):
             assert dist.grid == grid
@@ -451,20 +456,25 @@ class TestSqueezedFrame:
         for state in (psv(1.0), css(1.5), dfs(2.0)):
             stretch, cores, shifts = state.branch_set.frame
             for frame in ((stretch, cores[:1], shifts), (stretch, cores, shifts[:1]),
-                          (stretch, cores)):
+                          (stretch, cores), (stretch, (1, 2), shifts),
+                          (math.nan, cores, shifts), (stretch, cores, (math.inf, 0.0)),
+                          (stretch, cores, (0.0, math.nan)), (-800.0, cores, shifts),
+                          (math.nextafter(distinguishability._MAX_STRETCH, 1e3), cores, shifts)):
                 with pytest.raises(InvalidArgumentError):
                     replace(state.branch_set, frame=frame)
 
 
 class TestDisplacedFrames:
-    """css and dfs homodyne at phi = 0 read their one- or two-level cores moved
-    along x; the Fock path on the branches is their oracle."""
+    """css and dfs homodyne read their one- or two-level cores moved along x at
+    every angle; the Fock path on the branches is their oracle."""
 
-    def test_css_bhattacharyya_closed_form(self):
-        # no truncation left: the trapezoid rule is spectrally exact on Gaussians
-        det = DetectorModel.homodyne()
+    @pytest.mark.parametrize("angle", (0.0, 0.3, 1.0, 1.4))
+    def test_css_bhattacharyya_closed_form(self, angle):
+        # no truncation left: the trapezoid rule is spectrally exact on
+        # Gaussians, here centred at +-sqrt(2) alpha cos(phi)
+        det = DetectorModel.homodyne(angle)
         for alpha in np.linspace(0.05, 3.0, 60):
-            expected = 1.0 - math.exp(-2.0 * alpha**2)
+            expected = 1.0 - math.exp(-2.0 * (alpha * math.cos(angle)) ** 2)
             assert abs(d_bc(css(alpha).branch_set, det) - expected) <= 1e-12
 
     def test_dfs_bhattacharyya_does_not_depend_on_alpha(self):
@@ -474,13 +484,14 @@ class TestDisplacedFrames:
         values = [d_bc(dfs(alpha).branch_set, det) for alpha in np.linspace(0.1, 4.0, 40)]
         assert max(values) - min(values) <= 1e-13
 
+    @pytest.mark.parametrize("angle", ANGLES)
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("make", [
         partial(css, 0.05), partial(css, 1.5), partial(css, 4.0),
         partial(dfs, 0.0), partial(dfs, 1.3), partial(dfs, 4.0),
     ], ids=["css-0.05", "css-1.5", "css-4", "dfs-0", "dfs-1.3", "dfs-4"])
-    def test_frame_matches_fock_path_at_doubled_cutoffs(self, make, sigma):
-        det = DetectorModel.homodyne(sigma=sigma)
+    def test_frame_matches_fock_path_at_doubled_cutoffs(self, make, sigma, angle):
+        det = DetectorModel.homodyne(angle, sigma)
         with scaled_cutoffs(2):
             branch_set = make().branch_set
             frame_bc, frame_kd = both_measures(branch_set, det)
@@ -488,14 +499,15 @@ class TestDisplacedFrames:
         assert abs(frame_bc - fock_bc) <= 1e-12
         assert abs(frame_kd - fock_kd) <= 1e-12
 
+    @pytest.mark.parametrize("angle", (0.0, 0.3))
     @pytest.mark.parametrize("sigma", (0.0, 1.0))
     @pytest.mark.parametrize("make, n_max", [
         (partial(css, 1.5), 0),
         (partial(dfs, 2.0), 1),
     ], ids=["css", "dfs"])
-    def test_hermite_table_stops_at_the_core(self, monkeypatch, make, n_max, sigma):
+    def test_hermite_table_stops_at_the_core(self, monkeypatch, make, n_max, sigma, angle):
         n_maxes = recording_hermite(monkeypatch)
-        both_measures(make().branch_set, DetectorModel.homodyne(sigma=sigma))
+        both_measures(make().branch_set, DetectorModel.homodyne(angle, sigma))
         assert n_maxes == [n_max]
 
 

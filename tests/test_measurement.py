@@ -42,7 +42,7 @@ from macrolens.measurement import (
     checked_rows,
     blur_pmfs,
     default_homodyne_grid,
-    homodyne_pdfs,
+    frame_pdfs,
     pnrd_pmfs,
 )
 
@@ -93,7 +93,7 @@ class TestHermiteFunctions:
         state = fock_state(1, 2000)
         tracemalloc.start()
         try:
-            (row,) = homodyne_pdfs([state], 0.0, (-8.0, 8.0, 2048))
+            (row,) = frame_pdfs(0.0, [state], [0.0], 0.0, (-8.0, 8.0, 2048))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -211,7 +211,7 @@ class TestBlurPdf:
     def test_matches_zero_padded_convolution(self, sigma):
         # at sigma = 40 the kernel is longer than the rows it blurs
         grid = (-6.0, 8.0, 512)
-        rows = homodyne_pdfs([fock_state(0, 8), coherent_state(1.5)], 0.3, grid)
+        rows = frame_pdfs(0.0, [fock_state(0, 8), coherent_state(1.5)], [0.0, 0.0], 0.3, grid)
         dx = (grid[1] - grid[0]) / (grid[2] - 1)
         pad = math.ceil(6.0 * sigma / dx)
         kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * dx / sigma) ** 2)
@@ -308,11 +308,11 @@ class TestCheckedRows:
 
 class TestEmptyInputs:
     @pytest.mark.parametrize("call", [
-        lambda: homodyne_pdfs([], 0.0, (-5.0, 5.0, 256)),
+        lambda: frame_pdfs(0.0, [], [], 0.0, (-5.0, 5.0, 256)),
         lambda: pnrd_pmfs([]),
         lambda: blur_pmfs(np.empty((0, 4)), 1.0),
         lambda: blur_pdfs(np.empty((0, 256)), (-5.0, 5.0, 256), 1.0),
-    ], ids=["homodyne_pdfs", "pnrd_pmfs", "blur_pmfs", "blur_pdfs"])
+    ], ids=["frame_pdfs", "pnrd_pmfs", "blur_pmfs", "blur_pdfs"])
     def test_no_rows_rejected(self, call):
         with pytest.raises(InvalidArgumentError):
             call()
