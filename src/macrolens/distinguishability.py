@@ -27,6 +27,7 @@ from .measurement import (
     DetectorModel,
     Pdf,
     Pmf,
+    blur_differences,
     blur_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     blur_pdfs,
     blur_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
@@ -115,25 +116,36 @@ def _stacked(dists) -> tuple[np.ndarray, tuple | None]:
     raise GridMismatchError("cannot compare a Pdf with a Pmf")
 
 
+def _complement_weights(weights) -> np.ndarray:
+    """Row k holds the weights of the complement mixture of branch k: the
+    other branches' weights, renormalized.  Its product with a table of rows
+    gives the complements' rows, as measurement and blur are linear in the
+    state."""
+    mix = weights * (1.0 - np.eye(len(weights)))
+    return mix / mix.sum(axis=1, keepdims=True)
+
+
+def _integral(grid):
+    """The integral of one row over ``grid``: the trapezoid rule, or the sum
+    of probabilities when grid is None."""
+    if grid is None:
+        return np.sum
+    dx = (grid[1] - grid[0]) / (grid[2] - 1)
+
+    def integrate(y):  # np.trapezoid(y, dx=dx), without its per-call overhead
+        return (dx * (y[1:] + y[:-1]) / 2.0).sum()
+    return integrate
+
+
 def _overlap_and_kd(rows: np.ndarray, grid, weights) -> tuple[float, float]:
     """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) of the B x G table of
     densities on ``grid``, or of probabilities when grid is None.
 
     Q_k, the distribution of the complement mixture of branch k, is the
-    weight-average of the other rows (measurement and blur are linear in the
-    state): one product with the row-normalized, off-diagonal weights.
+    weight-average of the other rows: one product with _complement_weights.
     """
-    if grid is None:
-        def integrate(y):
-            return y.sum()
-    else:
-        dx = (grid[1] - grid[0]) / (grid[2] - 1)
-
-        def integrate(y):  # np.trapezoid(y, dx=dx), without its per-call overhead
-            return (dx * (y[1:] + y[:-1]) / 2.0).sum()
-    mix = weights * (1.0 - np.eye(len(rows)))
-    mix /= mix.sum(axis=1, keepdims=True)
-    complements = mix @ rows
+    integrate = _integral(grid)
+    complements = _complement_weights(weights) @ rows
     # one row at a time, so the integrands and their temporaries stay 1 x G
     pairs = list(zip(rows, complements))
     l1 = np.array([integrate(np.abs(p - q)) for p, q in pairs])
@@ -174,16 +186,20 @@ def _branch_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
     sigma <= _SHARP_PNRD_SIGMA keeps the unblurred probabilities, which equal
     the blurred densities to double precision.
     """
-    branches = branch_set.branches
     if detector.kind != HOMODYNE:
-        rows, grid = pnrd_pmfs(branches), None
+        rows, grid = pnrd_pmfs(branch_set.branches), None
         if detector.sigma > _SHARP_PNRD_SIGMA:
             rows, grid = blur_pmfs(rows, detector.sigma)
     else:
-        grid = default_homodyne_grid(branches, detector.angle, detector.sigma)
-        rows = frame_pdfs(*branch_set.frame, detector.angle, grid)
-        rows, grid = blur_pdfs(rows, grid, detector.sigma)
+        rows, grid = blur_pdfs(*_homodyne_rows(branch_set, detector), detector.sigma)
     return checked_rows(rows, grid), grid
+
+
+def _homodyne_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
+    """The branches' unblurred densities at the detector's angle as one B x G
+    table, on a grid with room for the detector's blur, and that grid."""
+    grid = default_homodyne_grid(branch_set.branches, detector.angle, detector.sigma)
+    return frame_pdfs(*branch_set.frame, detector.angle, grid), grid
 
 
 def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list:
@@ -208,8 +224,24 @@ def d_bc(branch_set: BranchSet, detector: DetectorModel) -> float:
 
 
 def d_kd(branch_set: BranchSet, detector: DetectorModel) -> float:
-    """Kolmogorov-based distinguishability of the branch mixture."""
-    return both_measures(branch_set, detector)[1]
+    """Kolmogorov-based distinguishability of the branch mixture.
+
+    Blurred homodyne detection checks the unblurred table once and blurs its
+    differences P_k - Q_k, not its rows: one FFT product for the whole table
+    (see measurement.blur_differences), as D_KD reads no square root of a
+    tail.  Every other detector takes both_measures' table.
+    """
+    if detector.kind != HOMODYNE or detector.sigma == 0.0:
+        return both_measures(branch_set, detector)[1]
+    rows, grid = _homodyne_rows(branch_set, detector)
+    rows = checked_rows(rows, grid)
+    weights = branch_set.weights
+    diffs, grid = blur_differences(
+        rows - _complement_weights(weights) @ rows, grid, detector.sigma
+    )
+    integrate = _integral(grid)
+    l1 = np.array([integrate(np.abs(d)) for d in diffs])
+    return _clamp01(float(np.sum(weights * 0.5 * l1)), "d_kd")
 
 
 def dfs_kd_closed_form(alpha: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import FAMILIES, PARAM_NAMES, TwoBranchState, build, css
-from .distinguishability import both_measures, dfs_kd_closed_form
+from .distinguishability import both_measures, d_kd, dfs_kd_closed_form
 from .errors import InvalidArgumentError, UnsupportedRangeError
 from .fock import Ensemble, coherent_state
 # n_fluct is unused here but the perfbench/spans.py tracer still wraps figures.n_fluct
@@ -206,7 +206,7 @@ def _max_cutoff(state: TwoBranchState) -> int:
 @dataclass(frozen=True)
 class _Point:
     """Numbers of one catalog state: N and <n> per sign (plus, minus) and
-    (D_BC, D_KD) per detector."""
+    the measure per detector, (D_BC, D_KD) or D_KD alone."""
 
     value: float
     n_fluct: tuple
@@ -216,9 +216,11 @@ class _Point:
     fixed_params: dict
 
 
-def _evaluate(family: str, values, detectors, m: int = 1) -> list:
-    """Build each state of ``family`` once per parameter value and measure it
-    once per detector; every sweep and figure 2-8 table is a layout of these."""
+def _evaluate(family: str, values, detectors, measure, m: int = 1) -> list:
+    """Build each state of ``family`` once per parameter value and evaluate
+    ``measure`` (both_measures or d_kd) once per detector; every sweep and
+    figure 2-8 table is a layout of these.  Callers pass the measure as
+    looked up when they run, so a wrapped both_measures is the one called."""
     points = []
     for value in values:
         state = build(family, **{PARAM_NAMES[family]: float(value)}, m=m)
@@ -227,7 +229,7 @@ def _evaluate(family: str, values, detectors, m: int = 1) -> list:
             value=float(value),
             n_fluct=n,
             mean_n=mean_n,
-            d_by_detector={det: both_measures(state.branch_set, det) for det in detectors},
+            d_by_detector={det: measure(state.branch_set, det) for det in detectors},
             cutoff=_max_cutoff(state),
             fixed_params=_fixed_params(state),
         ))
@@ -263,7 +265,8 @@ def sweep(spec: SweepSpec) -> ResultTable:
             columns.extend([f"{measure}_plus", f"{measure}_minus"])
     detectors = [_detector(spec.detector, s, spec.angle) for s in spec.sigmas]
     points = _evaluate(
-        spec.family, np.linspace(spec.start, spec.stop, spec.steps), detectors, spec.m
+        spec.family, np.linspace(spec.start, spec.stop, spec.steps), detectors,
+        both_measures, spec.m,
     )
     rows = []
     for p in points:
@@ -317,7 +320,7 @@ def _figure_wigner(steps: int) -> ResultTable:
 def _figure_family(family: str, start: float, stop: float, steps: int) -> ResultTable:
     """N(psi_pm) and ideal-detector distinguishabilities vs the family parameter."""
     homodyne, pnrd = DetectorModel.homodyne(), DetectorModel.pnrd()
-    points = _evaluate(family, np.linspace(start, stop, steps), (homodyne, pnrd))
+    points = _evaluate(family, np.linspace(start, stop, steps), (homodyne, pnrd), both_measures)
     param = PARAM_NAMES[family]
     if family == "dfs":
         columns = [
@@ -353,12 +356,12 @@ def _figure_noise(family: str, steps: int) -> ResultTable:
             suffix = f"_{kind}" if len(kinds) > 1 else ""
             columns.append(f"d_kd{suffix}_{param}_{_fmt(v)}")
     points = _evaluate(
-        family, values, [_detector(kind, s) for s in sigmas for kind in kinds]
+        family, values, [_detector(kind, s) for s in sigmas for kind in kinds], d_kd
     )
     rows = []
     for sigma in sigmas:
         dets = [_detector(kind, sigma) for kind in kinds]
-        rows.append([sigma, *(p.d_by_detector[det][1] for p in points for det in dets)])
+        rows.append([sigma, *(p.d_by_detector[det] for p in points for det in dets)])
     meta = _base_metadata(
         figure=f"noise-{family}",
         family=family,
@@ -386,11 +389,11 @@ def _figure_summary(steps: int) -> ResultTable:
     max_cutoff = 0
     for family in FAMILIES:
         start, stop = _SUMMARY_RANGES[family]
-        points = _evaluate(family, np.linspace(start, stop, steps), detectors)
+        points = _evaluate(family, np.linspace(start, stop, steps), detectors, d_kd)
         max_cutoff = max(max_cutoff, *(p.cutoff for p in points))
         for det in detectors:
             for p in points:
-                dist_kd = p.d_by_detector[det][1]
+                dist_kd = p.d_by_detector[det]
                 for sign, n, mean_n in zip("+-", p.n_fluct, p.mean_n):
                     rows.append([
                         family, sign, det.kind, det.sigma, p.value,

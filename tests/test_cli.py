@@ -450,7 +450,9 @@ class TestImports:
         # perfbench/spans.py wraps module attributes by name and fails when
         # one of them is gone; it patches modules, so it runs in a subprocess,
         # imported as the benchmark's traced worker imports it, and then
-        # traces one homodyne and one photon-counting point
+        # traces one homodyne and one photon-counting point and two figures.
+        # Figure 2 must reach the wrapped figures.both_measures: figures look
+        # their measure up when they run, not when they are defined.
         perfbench = os.path.join(os.path.dirname(_package_path()), "perfbench")
         code = "\n".join([
             "from spans import Tracer",
@@ -462,6 +464,12 @@ class TestImports:
             "assert cli.main(point + ['homodyne', '--angle', '0.3', '--sigma', '0']) == 0",
             "assert cli.main(point + ['pnrd', '--sigma', '1']) == 0",
             "assert tracer.spans",
+            "for fig in ('2', '5'):",
+            "    tracer.begin_op('figure ' + fig)",
+            "    assert cli.main(['figure', fig, '--steps', '3']) == 0",
+            "names = {(span['op'], span['name']) for span in tracer.spans}",
+            "assert ('figure 2', 'distinguishability.both_measures') in names",
+            "assert ('figure 5', 'figures.run_figure') in names",
         ])
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

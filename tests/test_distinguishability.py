@@ -33,6 +33,7 @@ from macrolens import (
     pnrd_pmf,
     psv,
     scaled_cutoffs,
+    squeezed_vacuum,
 )
 from macrolens import distinguishability
 from macrolens.distinguishability import _clamp01, branch_distributions
@@ -356,12 +357,25 @@ class TestBranchMeasures:
         assert d_kd(bs, det) == pytest.approx(0.0, abs=1e-10)
         assert d_bc(bs, det) == pytest.approx(0.0, abs=1e-10)
 
-    def test_both_measures_consistent(self):
-        bs = two_coherent_branches(0.8)
-        det = DetectorModel.homodyne(sigma=0.5)
-        bc, kd = both_measures(bs, det)
-        assert bc == pytest.approx(d_bc(bs, det), abs=1e-12)
-        assert kd == pytest.approx(d_kd(bs, det), abs=1e-12)
+    @pytest.mark.parametrize("sigma", (1e-3, 0.5, 4.0, 20.0))
+    @pytest.mark.parametrize("angle", (0.0, 0.4, 1.2))
+    @pytest.mark.parametrize("branch_set", [
+        two_coherent_branches(0.8),
+        css(1.5).branch_set,
+        dfs(2.0).branch_set,
+        psv(1.0).branch_set,
+        psv(1.0, m=2).branch_set,
+        psv(1.0, m=5).branch_set,
+        BranchSet(np.sqrt([0.2, 0.3, 0.5]),
+                  (fock_state(0, 4), coherent_state(1.5), squeezed_vacuum(0.7))),
+    ], ids=["coherent", "css", "dfs", "psv-m1", "psv-m2", "psv-m5", "three"])
+    def test_both_measures_consistent(self, branch_set, angle, sigma):
+        # blurred homodyne D_KD alone blurs the table of differences by FFT;
+        # both_measures blurs each row by direct sums
+        det = DetectorModel.homodyne(angle=angle, sigma=sigma)
+        bc, kd = both_measures(branch_set, det)
+        assert bc == pytest.approx(d_bc(branch_set, det), abs=1e-12)
+        assert kd == pytest.approx(d_kd(branch_set, det), abs=1e-14)
 
     def test_branch_swap_symmetry(self):
         alpha = 1.1

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import diags_array
+from scipy.sparse.linalg import expm_multiply
 
 from macrolens import (
     Ensemble,
@@ -278,10 +280,14 @@ def odd_cat(alpha):
 
 
 def expm_displaced(state, alpha, dim):
-    """D(alpha)|state> by expm of the generator truncated at ``dim`` levels."""
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    oracle = expm(alpha * lower.conj().T - np.conj(alpha) * lower)
-    return oracle @ pad_to_cutoff(state, dim).amplitudes
+    """D(alpha)|state> by the action of the exponential of the generator
+    alpha a^dag - alpha^* a truncated at ``dim`` levels, a sparse tridiagonal
+    matrix, on the state."""
+    root = np.sqrt(np.arange(1, dim))
+    generator = diags_array(
+        [alpha * root, -np.conj(alpha) * root], offsets=[-1, 1], dtype=complex
+    )
+    return expm_multiply(generator, pad_to_cutoff(state, dim).amplitudes)
 
 
 class TestSuperpose:
