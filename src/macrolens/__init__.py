@@ -15,13 +15,10 @@ from ._version import __version__
 from .catalog import TwoBranchState, build, css, dfs, psv
 from .distinguishability import (
     BranchSet,
-    bhattacharyya_coeff,
     both_measures,
     d_bc,
     d_kd,
     dfs_kd_closed_form,
-    error_probability,
-    kolmogorov_distance,
 )
 from .errors import MacrolensError
 from .fock import (
@@ -67,7 +64,6 @@ __all__ = [
     "Pmf",
     "TwoBranchState",
     "WignerField",
-    "bhattacharyya_coeff",
     "blur_pdf",
     "blur_pmf",
     "both_measures",
@@ -79,12 +75,10 @@ __all__ = [
     "dfs",
     "dfs_kd_closed_form",
     "displace",
-    "error_probability",
     "fock_state",
     "from_amplitudes",
     "hermite_functions",
     "homodyne_pdf",
-    "kolmogorov_distance",
     "m_subjective",
     "moments",
     "n_fluct",

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidArgumentError, MacrolensError
+from .errors import InvalidArgumentError, MacrolensError
 from .fock import FockVector
 from .measurement import (
     HOMODYNE,
     DetectorModel,
-    Pdf,
-    Pmf,
     blur_differences,
     blur_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     blur_pdfs,
@@ -46,7 +44,6 @@ _CLAMP_SLACK = 1e-9
 # Blurred photon counts of neighbouring outcomes overlap by exp(-1/(8 sigma^2)),
 # which is below 1e-16 for sigma up to this (about 0.058).
 _SHARP_PNRD_SIGMA = 1.0 / math.sqrt(8.0 * math.log(1e16))
-_HALVES = np.array([0.5, 0.5])
 # Largest |r| of a frame stretch whose e^{+-r} is a finite float
 _MAX_STRETCH = math.log(np.finfo(float).max)
 
@@ -85,9 +82,13 @@ class BranchSet:
             raise InvalidArgumentError("frame cores must be FockVectors")
         if not (abs(frame[0]) <= _MAX_STRETCH and all(map(math.isfinite, frame[2]))):
             raise InvalidArgumentError("a frame needs finite shifts and a finite e^|stretch|")
-        total = float(np.sum(np.abs(coeffs) ** 2))
+        weights = np.abs(coeffs) ** 2
+        total = float(np.sum(weights))
         if abs(total - 1.0) > 1e-10:
             raise InvalidArgumentError(f"sum |c_k|^2 = {total}, expected 1")
+        # a lone branch of nonzero weight has no complement to compare with
+        if np.count_nonzero(weights) < 2:
+            raise InvalidArgumentError("need at least two branches of nonzero weight")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "branches", branches)
@@ -100,20 +101,6 @@ class BranchSet:
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
-
-
-def _stacked(dists) -> tuple[np.ndarray, tuple | None]:
-    """The rows of Pdfs on one grid, or of Pmfs on one support (grid None)."""
-    first = dists[0]
-    if all(isinstance(d, Pdf) for d in dists):
-        if not all(first.same_grid(d) for d in dists):
-            raise GridMismatchError("pdfs live on different grids")
-        return np.stack([d.values for d in dists]), first.grid
-    if all(isinstance(d, Pmf) for d in dists):
-        if any(d.cutoff != first.cutoff for d in dists):
-            raise GridMismatchError("pmfs have different supports")
-        return np.stack([d.probabilities for d in dists]), None
-    raise GridMismatchError("cannot compare a Pdf with a Pmf")
 
 
 def _complement_weights(weights) -> np.ndarray:
@@ -161,25 +148,10 @@ def _clamp01(value: float, name: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-def bhattacharyya_coeff(p, q) -> float:
-    """Overlap Omega = integral sqrt(P*Q); 1 for identical distributions."""
-    return _clamp01(_overlap_and_kd(*_stacked([p, q]), _HALVES)[0], "bhattacharyya")
-
-
-def kolmogorov_distance(p, q) -> float:
-    """KD = (1/2) integral |P - Q|; related to the single-shot error
-    probability through PE = (1 - KD) / 2."""
-    return _clamp01(_overlap_and_kd(*_stacked([p, q]), _HALVES)[1], "kolmogorov")
-
-
-def error_probability(kd: float) -> float:
-    """Minimum single-shot misidentification probability for a given KD."""
-    return (1.0 - kd) / 2.0
-
-
-def _branch_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
-    """The branches' outcome distributions as one checked B x G table, and its
-    grid: densities, or photon-count probabilities when the grid is None.
+def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> tuple:
+    """The branches' outcome distributions as one checked, read-only B x G
+    table, and its grid: densities, or photon-count probabilities when the
+    grid is None.
 
     Homodyne detection reads the branch set's frame at the detector's angle;
     photon counting reads the branches' Fock amplitudes.  Photon counting at
@@ -202,19 +174,10 @@ def _homodyne_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
     return frame_pdfs(*branch_set.frame, detector.angle, grid), grid
 
 
-def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> list:
-    """Per-branch outcome distributions, aligned on one shared grid and
-    blurred by the detector resolution: Pdfs, or Pmfs for photon counting at
-    sigma <= _SHARP_PNRD_SIGMA (see _branch_rows)."""
-    rows, grid = _branch_rows(branch_set, detector)
-    if grid is None:
-        return [Pmf(row) for row in rows]
-    return [Pdf(*grid, row) for row in rows]
-
-
 def both_measures(branch_set: BranchSet, detector: DetectorModel) -> tuple[float, float]:
     """(D_BC, D_KD) computed from one shared table of outcome distributions."""
-    overlap, kd = _overlap_and_kd(*_branch_rows(branch_set, detector), branch_set.weights)
+    rows, grid = branch_distributions(branch_set, detector)
+    overlap, kd = _overlap_and_kd(rows, grid, branch_set.weights)
     return _clamp01(1.0 - overlap, "d_bc"), _clamp01(kd, "d_kd")
 
 

@@ -36,12 +36,6 @@ class GridCoverageError(MacrolensError):
     code = "grid-coverage-error"
 
 
-class GridMismatchError(MacrolensError):
-    """Two distributions live on different grids/supports."""
-
-    code = "grid-mismatch"
-
-
 class UsePmfDirectly(MacrolensError):
     """Blurring a discrete distribution with sigma = 0 is a no-op; the
     caller should keep working with the Pmf itself."""

@@ -153,9 +153,6 @@ class Pdf:
         mu = self.mean()
         return float(np.trapezoid((self.xs - mu) ** 2 * self.values, dx=self.dx))
 
-    def same_grid(self, other: "Pdf") -> bool:
-        return self.grid == other.grid
-
 
 @dataclass(frozen=True)
 class Pmf:

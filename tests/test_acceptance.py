@@ -32,7 +32,6 @@ from macrolens import (
 )
 from macrolens.distinguishability import branch_distributions
 from macrolens.figures import run_figure
-from macrolens.measurement import Pdf
 
 
 def _scaled(scale, fn):
@@ -42,8 +41,13 @@ def _scaled(scale, fn):
         return fn()
 
 
-def _mass(dist):
-    return dist.integral() if isinstance(dist, Pdf) else float(np.sum(dist.probabilities))
+def _masses(rows, grid):
+    """Each row's mass: the trapezoid rule on ``grid``, or the sum of
+    probabilities when grid is None."""
+    if grid is None:
+        return [float(np.sum(row)) for row in rows]
+    dx = (grid[1] - grid[0]) / (grid[2] - 1)
+    return [float(np.trapezoid(row, dx=dx)) for row in rows]
 
 
 def _check(criterion, failures):
@@ -139,9 +143,9 @@ def _c7():
                 det = DetectorModel.pnrd(sigma=sigma)
             tag = f"{family}_{param}_{kind}_s{sigma}"
             out[f"dkd_{tag}"] = d_kd(state.branch_set, det)
-            dists = branch_distributions(state.branch_set, det)
-            for i, dist in enumerate(dists):
-                out[f"mass_{tag}_b{i}"] = _mass(dist)
+            masses = _masses(*branch_distributions(state.branch_set, det))
+            for i, mass in enumerate(masses):
+                out[f"mass_{tag}_b{i}"] = mass
     return out
 
 

@@ -446,6 +446,22 @@ class TestImports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_every_exported_name_resolves(self):
+        # a stale name in __all__ breaks only `from macrolens import *`,
+        # so the star import runs in a fresh interpreter
+        code = "\n".join([
+            "import macrolens",
+            "from macrolens import *",
+            "missing = [name for name in macrolens.__all__ if name not in globals()]",
+            "assert not missing, missing",
+            "print(len(macrolens.__all__))",
+        ])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": _package_path()},
+        ).stdout
+        assert int(out) > 0
+
     def test_benchmark_tracer_installs(self):
         # perfbench/spans.py wraps module attributes by name and fails when
         # one of them is gone; it patches modules, so it runs in a subprocess,

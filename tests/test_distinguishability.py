@@ -15,8 +15,6 @@ from macrolens import (
     Ensemble,
     FockVector,
     Pdf,
-    Pmf,
-    bhattacharyya_coeff,
     both_measures,
     coherent_state,
     css,
@@ -24,10 +22,8 @@ from macrolens import (
     d_kd,
     dfs,
     dfs_kd_closed_form,
-    error_probability,
     fock_state,
     homodyne_pdf,
-    kolmogorov_distance,
     measurement,
     pad_to_cutoff,
     pnrd_pmf,
@@ -46,14 +42,33 @@ from macrolens.measurement import (
     frame_pdfs,
     pnrd_pmfs,
 )
-from macrolens.errors import GridMismatchError, InvalidArgumentError, MacrolensError
+from macrolens.errors import InvalidArgumentError, MacrolensError
 
 
-def gaussian_pdf(mu, var, grid=(-20.0, 20.0, 4001)):
-    lo, hi, n = grid
-    xs = np.linspace(lo, hi, n)
-    vals = np.exp(-((xs - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-    return Pdf(lo, hi, n, vals)
+GAUSSIAN_GRID = (-20.0, 20.0, 4001)
+
+
+def gaussian_pdf(mu, var):
+    xs = np.linspace(*GAUSSIAN_GRID)
+    return np.exp(-((xs - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+
+
+def pair_measures(p, q, grid=GAUSSIAN_GRID):
+    """(Omega, KD) of two rows, through the chain's table reduction: with
+    weights (1/2, 1/2) each row's complement is the other row."""
+    return distinguishability._overlap_and_kd(np.stack([p, q]), grid, np.array([0.5, 0.5]))
+
+
+def inline_omega_and_kd(p, q):
+    """(Omega, KD) of two one-row views, integrated here, independently of
+    the chain's reduction."""
+    if isinstance(p, Pdf):
+        integrate = partial(np.trapezoid, dx=p.dx)
+        p, q = p.values, q.values
+    else:
+        integrate = np.sum
+        p, q = p.probabilities, q.probabilities
+    return float(integrate(np.sqrt(p * q))), float(0.5 * integrate(np.abs(p - q)))
 
 
 def blur_one_branch_at_a_time(branches, sigma):
@@ -106,48 +121,59 @@ class TestBranchSet:
         with pytest.raises(InvalidArgumentError):
             BranchSet(np.array([1.0, 1.0]), (fock_state(0, 4), fock_state(1, 4)))
 
+    @pytest.mark.parametrize("coefficients", [[1.0, 0.0], [1.0, 1e-200]])
+    def test_one_branch_of_nonzero_weight_rejected(self, coefficients):
+        # 1e-200 squares to a weight of 0: no complement is left to compare with
+        with pytest.raises(InvalidArgumentError):
+            BranchSet(np.array(coefficients), (coherent_state(1.0), coherent_state(-1.0)))
+
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.homodyne(sigma=0.5),
+        DetectorModel.pnrd(),
+        DetectorModel.pnrd(sigma=1.0),
+    ])
+    def test_zero_weight_branch_leaves_the_measures(self, detector):
+        # the third branch lies inside the pair's homodyne grid, so the grid
+        # and the table of the pair stay as they are
+        pair = BranchSet(np.array([0.6, 0.8]), (coherent_state(1.0), coherent_state(-1.0)))
+        three = BranchSet(np.array([0.6, 0.8, 0.0]), (*pair.branches, coherent_state(0.5)))
+        assert both_measures(three, detector) == pytest.approx(
+            both_measures(pair, detector), abs=1e-12
+        )
+
 
 class TestDistanceFunctionals:
     def test_identical_distributions(self):
         p = gaussian_pdf(0.0, 1.0)
-        assert kolmogorov_distance(p, p) == pytest.approx(0.0, abs=1e-12)
-        assert bhattacharyya_coeff(p, p) == pytest.approx(1.0, abs=1e-9)
+        overlap, kd = pair_measures(p, p)
+        assert kd == pytest.approx(0.0, abs=1e-12)
+        assert overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_distributions(self):
         p = gaussian_pdf(-8.0, 0.25)
         q = gaussian_pdf(8.0, 0.25)
-        assert kolmogorov_distance(p, q) == pytest.approx(1.0, abs=1e-9)
-        assert bhattacharyya_coeff(p, q) == pytest.approx(0.0, abs=1e-9)
+        overlap, kd = pair_measures(p, q)
+        assert kd == pytest.approx(1.0, abs=1e-9)
+        assert overlap == pytest.approx(0.0, abs=1e-9)
 
     def test_gaussian_bhattacharyya_oracle(self):
         # closed form for equal-variance Gaussians: exp(-(mu1-mu2)^2/(8 var))
         p = gaussian_pdf(0.0, 1.0)
         q = gaussian_pdf(2.0, 1.0)
-        assert bhattacharyya_coeff(p, q) == pytest.approx(math.exp(-0.5), abs=1e-9)
+        assert pair_measures(p, q)[0] == pytest.approx(math.exp(-0.5), abs=1e-9)
 
     def test_gaussian_kolmogorov_oracle(self):
         # half-L1 of two equal-variance Gaussians: erf(|dmu|/(2 sqrt(2 var)))
         p = gaussian_pdf(0.0, 1.0)
         q = gaussian_pdf(2.0, 1.0)
-        assert kolmogorov_distance(p, q) == pytest.approx(
+        assert pair_measures(p, q)[1] == pytest.approx(
             erf(1.0 / math.sqrt(2)), abs=1e-5
         )
 
     def test_pmf_arguments(self):
-        p = Pmf(np.array([1.0, 0.0]))
-        q = Pmf(np.array([0.0, 1.0]))
-        assert kolmogorov_distance(p, q) == pytest.approx(1.0)
-        assert bhattacharyya_coeff(p, q) == pytest.approx(0.0)
-
-    def test_grid_mismatch(self):
-        p = gaussian_pdf(0.0, 1.0)
-        q = gaussian_pdf(0.0, 1.0, grid=(-20.0, 20.0, 2001))
-        with pytest.raises(GridMismatchError):
-            kolmogorov_distance(p, q)
-
-    def test_error_probability(self):
-        assert error_probability(1.0) == pytest.approx(0.0)
-        assert error_probability(0.0) == pytest.approx(0.5)
+        overlap, kd = pair_measures(np.array([1.0, 0.0]), np.array([0.0, 1.0]), None)
+        assert kd == pytest.approx(1.0)
+        assert overlap == pytest.approx(0.0)
 
     def test_nan_not_clamped(self):
         # every comparison with NaN is false, so a plain clamp would give 0
@@ -159,23 +185,20 @@ class TestDistanceFunctionals:
     def test_symmetry_and_bounds(self, m1, m2):
         p = gaussian_pdf(m1, 0.7)
         q = gaussian_pdf(m2, 0.7)
-        kd = kolmogorov_distance(p, q)
-        assert kd == pytest.approx(kolmogorov_distance(q, p), abs=1e-12)
+        overlap, kd = pair_measures(p, q)
+        assert kd == pytest.approx(pair_measures(q, p)[1], abs=1e-12)
         assert -1e-12 <= kd <= 1.0 + 1e-12
-        bc = bhattacharyya_coeff(p, q)
-        assert -1e-9 <= bc <= 1.0 + 1e-9
+        assert -1e-9 <= overlap <= 1.0 + 1e-9
 
 
-def stacked_overlap_and_kd(dists, weights):
+def stacked_overlap_and_kd(rows, grid, weights):
     """The B x G reduction that `_overlap_and_kd` replaced, kept as an oracle:
     every integrand is formed for all rows at once and reduced along axis 1."""
-    if isinstance(dists[0], Pdf):
-        rows = np.stack([d.values for d in dists])
-        integrate = partial(np.trapezoid, dx=dists[0].dx, axis=1)
-    else:
-        rows = np.stack([d.probabilities for d in dists])
+    if grid is None:
         integrate = partial(np.sum, axis=1)
-    mix = weights * (1.0 - np.eye(len(dists)))
+    else:
+        integrate = partial(np.trapezoid, dx=(grid[1] - grid[0]) / (grid[2] - 1), axis=1)
+    mix = weights * (1.0 - np.eye(len(rows)))
     mix /= mix.sum(axis=1, keepdims=True)
     complements = mix @ rows
     overlap = integrate(np.sqrt(rows * complements))
@@ -199,26 +222,24 @@ class TestOverlapAndKd:
                   (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2))),
     ], ids=["psv-0.5", "psv-2.5-m2", "css", "dfs", "three"])
     def test_rows_one_at_a_time_match_the_stacked_reduction(self, branch_set, detector):
-        dists = branch_distributions(branch_set, detector)
+        rows, grid = branch_distributions(branch_set, detector)
         weights = branch_set.weights
-        got = distinguishability._overlap_and_kd(*distinguishability._stacked(dists), weights)
-        assert got == stacked_overlap_and_kd(dists, weights)
+        got = distinguishability._overlap_and_kd(rows, grid, weights)
+        assert got == stacked_overlap_and_kd(rows, grid, weights)
 
     def test_peak_memory_holds_no_b_by_g_integrand(self):
         # the stacked rows and their complements (2 B rows) plus a few 1 x G
         # temporaries; a B x G integrand and its trapezoid sums would add B more
         branch_set = psv(2.5).branch_set
-        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=1.0))
-        row_bytes = dists[0].values.nbytes
+        rows, grid = branch_distributions(branch_set, DetectorModel.pnrd(sigma=1.0))
+        row_bytes = rows[0].nbytes
         tracemalloc.start()
         try:
-            distinguishability._overlap_and_kd(
-                *distinguishability._stacked(dists), branch_set.weights
-            )
+            distinguishability._overlap_and_kd(rows, grid, branch_set.weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (2 * len(dists) + 3) * row_bytes
+        assert peak < (2 * len(rows) + 3) * row_bytes
 
 
 class TestBranchMeasures:
@@ -268,11 +289,13 @@ class TestBranchMeasures:
         # window at its left edge; at sigma >= 2.6 a cell reaches every
         # outcome of dfs, css and the unequal pair
         branch_set = make()
-        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
+        values, (grid_min, grid_max, _) = branch_distributions(
+            branch_set, DetectorModel.pnrd(sigma=sigma)
+        )
         lo, hi, rows = blur_one_branch_at_a_time(branch_set.branches, sigma)
-        for dist, row in zip(dists, rows, strict=True):
-            assert (dist.grid_min, dist.grid_max) == (lo, hi)
-            np.testing.assert_allclose(dist.values, row, rtol=1e-13, atol=0)
+        assert (grid_min, grid_max) == (lo, hi)
+        for value, row in zip(values, rows, strict=True):
+            np.testing.assert_allclose(value, row, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("branches, sigma", [
         # interior outcomes of zero weight inside each support
@@ -301,14 +324,17 @@ class TestBranchMeasures:
         # the shared grid and agrees with its branch blurred alone; the grid
         # starts at -6 sigma, so each row misses its tail mass below that
         bs = BranchSet(np.sqrt([0.5, 0.5]), (fock_state(0, 4), coherent_state(3.0)))
-        dists = branch_distributions(bs, DetectorModel.pnrd(sigma=0.5))
-        for dist, branch in zip(dists, bs.branches, strict=True):
-            assert dist.same_grid(dists[0])
-            assert dist.integral() == pytest.approx(1.0, abs=1e-8)
+        rows, (grid_min, grid_max, n_points) = branch_distributions(
+            bs, DetectorModel.pnrd(sigma=0.5)
+        )
+        dx = (grid_max - grid_min) / (n_points - 1)
+        assert rows.shape == (bs.size, n_points)
+        for row, branch in zip(rows, bs.branches, strict=True):
+            assert np.trapezoid(row, dx=dx) == pytest.approx(1.0, abs=1e-8)
             alone = blur_pmf(pnrd_pmf(branch), 0.5)
-            assert alone.grid_min == dist.grid_min
-            assert alone.dx == pytest.approx(dist.dx, rel=1e-12)
-            assert np.allclose(dist.values[: alone.n_points], alone.values, rtol=0, atol=1e-12)
+            assert alone.grid_min == grid_min
+            assert alone.dx == pytest.approx(dx, rel=1e-12)
+            assert np.allclose(row[: alone.n_points], alone.values, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("detector", [
         DetectorModel.homodyne(sigma=0.5),
@@ -346,8 +372,9 @@ class TestBranchMeasures:
             rest = [(bs.weights[l], bs.branches[l]) for l in range(bs.size) if l != k]
             total = sum(v for v, _ in rest)
             p, q = dists(branch, Ensemble(tuple((v / total, s) for v, s in rest)))
-            bc += w * (1.0 - bhattacharyya_coeff(p, q))
-            kd += w * kolmogorov_distance(p, q)
+            overlap, half_l1 = inline_omega_and_kd(p, q)
+            bc += w * (1.0 - overlap)
+            kd += w * half_l1
         assert both_measures(bs, detector) == pytest.approx((bc, kd), abs=1e-12)
 
     def test_css_pnrd_blind(self):
@@ -399,9 +426,7 @@ class TestBranchMeasures:
         det = DetectorModel.homodyne()
         p1 = homodyne_pdf(coherent_state(alpha), grid=(-12.0, 12.0, 4001))
         p2 = homodyne_pdf(coherent_state(-alpha), grid=(-12.0, 12.0, 4001))
-        assert d_kd(bs, det) == pytest.approx(
-            kolmogorov_distance(p1, p2), abs=1e-5
-        )
+        assert d_kd(bs, det) == pytest.approx(inline_omega_and_kd(p1, p2)[1], abs=1e-5)
 
     def test_strong_blur_erases_distinguishability(self):
         bs = two_coherent_branches(1.0)
@@ -461,10 +486,10 @@ class TestSqueezedFrame:
         grid = default_homodyne_grid(branches, angle, sigma)
         rows = frame_pdfs(0.0, branches, (0.0, 0.0), angle, grid)
         rows, grid = blur_pdfs(rows, grid, sigma)
-        dists = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
-        for dist, row in zip(dists, rows, strict=True):
-            assert dist.grid == grid
-            assert np.array_equal(dist.values, row)
+        got, got_grid = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
+        assert got_grid == grid
+        assert np.array_equal(got, rows)
+        assert not got.flags.writeable
 
     def test_frame_needs_one_core_per_branch(self):
         for state in (psv(1.0), css(1.5), dfs(2.0)):
@@ -529,10 +554,10 @@ class TestSharpPnrd:
     @pytest.mark.parametrize("sigma", (1e-300, 1e-9, 0.05, distinguishability._SHARP_PNRD_SIGMA))
     def test_small_sigma_is_the_discrete_limit(self, sigma):
         branch_set = dfs(2.0).branch_set
-        dists = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
-        for dist, row in zip(dists, pnrd_pmfs(branch_set.branches), strict=True):
-            assert isinstance(dist, Pmf)
-            assert np.array_equal(dist.probabilities, row)
+        rows, grid = branch_distributions(branch_set, DetectorModel.pnrd(sigma=sigma))
+        assert grid is None
+        assert np.array_equal(rows, pnrd_pmfs(branch_set.branches))
+        assert not rows.flags.writeable
         assert both_measures(branch_set, DetectorModel.pnrd(sigma=sigma)) == both_measures(
             branch_set, DetectorModel.pnrd()
         )
@@ -544,7 +569,7 @@ class TestSharpPnrd:
         branch_set = dfs(2.0).branch_set
         wider = DetectorModel.pnrd(sigma=math.nextafter(sigma, 1.0))
         blurred = both_measures(branch_set, wider)
-        assert all(isinstance(d, Pdf) for d in branch_distributions(branch_set, wider))
+        assert branch_distributions(branch_set, wider)[1] is not None
         assert blurred == pytest.approx(both_measures(branch_set, DetectorModel.pnrd()), abs=1e-9)
 
 
