@@ -170,7 +170,7 @@ def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> tupl
 def _homodyne_rows(branch_set: BranchSet, detector: DetectorModel) -> tuple:
     """The branches' unblurred densities at the detector's angle as one B x G
     table, on a grid with room for the detector's blur, and that grid."""
-    grid = default_homodyne_grid(branch_set.branches, detector.angle, detector.sigma)
+    grid = default_homodyne_grid(*branch_set.frame, detector.angle, detector.sigma)
     return frame_pdfs(*branch_set.frame, detector.angle, grid), grid
 
 
@@ -213,18 +213,13 @@ def dfs_kd_closed_form(alpha: float) -> float:
 
         e^{-alpha^2} * alpha * sum_m alpha^{2m-2} / m! * |m - alpha^2|
 
-    Defined for real alpha > 0; the series has non-differentiable cusps at
-    alpha^2 in {1, 2, 3, ...} where one term vanishes.
+    = E|n - lam| / alpha for n ~ Poisson(lam = alpha^2): the Poisson mean
+    absolute deviation 2 e^{-lam} lam^{k+1} / k!, k = floor(lam), over alpha.
+    Defined for real alpha > 0; it has non-differentiable cusps at alpha^2 in
+    {1, 2, 3, ...}, where k steps.
     """
     if isinstance(alpha, complex) or not math.isfinite(alpha) or alpha <= 0.0:
         raise InvalidArgumentError("closed form requires a real alpha > 0")
-    a2 = alpha * alpha
-    total = 0.0
-    small_run = 0
-    m = 0
-    while small_run < 3 and m < 100000:
-        term = math.exp((2 * m - 2) * math.log(alpha) - math.lgamma(m + 1)) * abs(m - a2)
-        total += term
-        small_run = small_run + 1 if term < 1e-16 else 0
-        m += 1
-    return _clamp01(math.exp(-a2) * alpha * total, "dfs_kd_closed_form")
+    k = math.floor(alpha * alpha)
+    kd = 2.0 * math.exp((2 * k + 1) * math.log(alpha) - alpha * alpha - math.lgamma(k + 1))
+    return _clamp01(kd, "dfs_kd_closed_form")

@@ -30,8 +30,8 @@ class DegenerateSuperpositionError(MacrolensError):
     code = "degenerate-superposition"
 
 
-class GridCoverageError(MacrolensError):
-    """Sampling grid too narrow: it does not capture the state's support."""
+class GridCoverageError(InvalidArgumentError):
+    """Sampling grid too narrow or too coarse: the sampled mass misses 1."""
 
     code = "grid-coverage-error"
 

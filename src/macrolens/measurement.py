@@ -84,8 +84,9 @@ def checked_rows(values: np.ndarray, grid) -> np.ndarray:
     """One row, or a table of rows, of outcome distributions with the checks
     of a Pdf sampled on ``grid`` = (grid_min, grid_max, n_points), or of a Pmf
     when grid is None: every value finite and at least -1e-12, and every
-    row's mass within tolerance of 1.  Clips negative values to 0 in place
-    and returns the values, made read-only."""
+    row's mass within tolerance of 1 (else, for densities, GridCoverageError:
+    the grid is too narrow or too coarse).  Clips negative values to 0 in
+    place and returns the values, made read-only."""
     if grid is None:
         kind, tol = "pmf", 1e-8
     else:
@@ -111,7 +112,9 @@ def checked_rows(values: np.ndarray, grid) -> np.ndarray:
         mass = np.ravel(np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=-1))
     worst = mass[np.abs(mass - 1.0).argmax()]
     if abs(worst - 1.0) > tol:
-        raise InvalidArgumentError(f"{kind} has mass {worst}, expected 1")
+        if grid is None:
+            raise InvalidArgumentError(f"pmf has mass {worst}, expected 1")
+        raise GridCoverageError(f"pdf has mass {worst} on grid [{grid_min}, {grid_max}], not 1")
     values.setflags(write=False)
     return values
 
@@ -261,12 +264,22 @@ def _padded_amplitudes(states, cutoff: int) -> np.ndarray:
     return out
 
 
-def default_homodyne_grid(states, angle: float, sigma: float = 0.0) -> tuple[float, float, int]:
-    """Grid spanning every state's rotated mean +- 6(sqrt(var)+sigma)+1."""
-    stats = [quadrature_stats(s, angle) for s in states]
-    means = [m for m, _ in stats]
-    spread = 6.0 * (math.sqrt(max(v for _, v in stats)) + sigma) + 1.0
+def default_homodyne_grid(stretch: float, cores, shifts, angle: float,
+                          sigma: float = 0.0) -> tuple[float, float, int]:
+    """Grid spanning the rotated mean +- 6(sqrt(var)+sigma)+1 of every state
+    D(shifts[k]) S(-stretch) cores[k] (see frame_pdfs), read from the cores:
+    x_phi = lam x_theta + s_k cos(phi) maps each core's mean and variance."""
+    lam, theta = _frame_rotation(stretch, angle)
+    stats = [quadrature_stats(core, theta) for core in cores]
+    means = [s * math.cos(angle) + lam * m for s, (m, _) in zip(shifts, stats)]
+    spread = 6.0 * (lam * math.sqrt(max(v for _, v in stats)) + sigma) + 1.0
     return min(means) - spread, max(means) + spread, DEFAULT_GRID_POINTS
+
+
+def _frame_rotation(stretch: float, angle: float) -> tuple[float, float]:
+    """(lam, theta) with lam e^{i theta} = e^r cos(phi) + i e^{-r} sin(phi)."""
+    wide, narrow = math.exp(stretch) * math.cos(angle), math.exp(-stretch) * math.sin(angle)
+    return math.hypot(wide, narrow), math.atan2(narrow, wide)
 
 
 def _densities(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -278,17 +291,6 @@ def _densities(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return waves[:b] ** 2 + waves[b:] ** 2
 
 
-def _covering(values: np.ndarray, grid) -> np.ndarray:
-    """The density rows, or GridCoverageError if a row misses mass on the grid."""
-    grid_min, grid_max, n_points = grid
-    mass = np.trapezoid(values, dx=(grid_max - grid_min) / (n_points - 1), axis=1).min()
-    if mass < 1.0 - _MASS_TOL:
-        raise GridCoverageError(
-            f"grid [{grid_min}, {grid_max}] captures only {mass} of the state"
-        )
-    return values
-
-
 def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     """x_phi densities of the states D(shifts[k]) S(-stretch) cores[k] on one
     grid, one row per core, where D(s) moves x by s and S(-r) stretches x by
@@ -296,11 +298,11 @@ def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     lam e^{i theta} = e^r cos(phi) + i e^{-r} sin(phi), so row k is
     |sum_n c_kn e^{-i n theta} psi_n((x - s_k cos(phi)) / lam)|^2 / lam: one
     Hermite table of the cores' levels, over the distinct shifted, shrunk
-    copies of the grid.  Stretch 0 and shifts 0 read the cores themselves."""
+    copies of the grid.  Stretch 0 and shifts 0 read the cores themselves.
+    The rows are unchecked: checked_rows checks the finished table."""
     _require_rows(cores)
     grid_min, grid_max, n_points = grid
-    wide, narrow = math.exp(stretch) * math.cos(angle), math.exp(-stretch) * math.sin(angle)
-    lam, theta = math.hypot(wide, narrow), math.atan2(narrow, wide)
+    lam, theta = _frame_rotation(stretch, angle)
     moved = [s * math.cos(angle) for s in shifts]
     offsets = sorted(set(moved))
     _check_grid((grid_min - offsets[-1]) / lam, (grid_max - offsets[0]) / lam)
@@ -311,7 +313,7 @@ def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     rotated = np.exp(-1j * np.arange(cutoff) * theta) * _padded_amplitudes(cores, cutoff)
     # one table over every copy; core k keeps only its own copy's columns
     rows = _densities(rotated, xs).reshape(len(cores), len(offsets), n_points)
-    return _covering(rows[range(len(cores)), [offsets.index(o) for o in moved]] / lam, grid)
+    return rows[range(len(cores)), [offsets.index(o) for o in moved]] / lam
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -321,9 +323,10 @@ def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
     ensemble the weighted average of the component distributions.
     """
     weights, states = zip(*_components(subject))
+    frame = (0.0, states, (0.0,) * len(states))  # the identity frame
     if grid is None:
-        grid = default_homodyne_grid(states, angle)
-    rows = frame_pdfs(0.0, states, (0.0,) * len(states), angle, grid)
+        grid = default_homodyne_grid(*frame, angle)
+    rows = frame_pdfs(*frame, angle, grid)
     return Pdf(*grid, sum(w * row for w, row in zip(weights, rows)))
 
 

@@ -331,6 +331,10 @@ class TestMain:
         ("homodyne", "1e308", "unsupported-range"),
         ("pnrd", "1e200", "unsupported-range"),
         ("pnrd", "1e308", "unsupported-range"),
+        # the grid spans +-6 sigma in 2048 points, too coarse for the state
+        ("homodyne", "150", "grid-coverage-error"),
+        ("homodyne", "200", "grid-coverage-error"),
+        ("homodyne", "500", "grid-coverage-error"),
         ("homodyne", "1e6", "grid-coverage-error"),
         ("homodyne", "1e150", "grid-coverage-error"),
     ])

@@ -358,7 +358,7 @@ class TestBranchMeasures:
             # a branch and its complement cover the union of all supports,
             # so the pair lands on the grid of the whole branch set
             if detector.kind == "homodyne":
-                grid = default_homodyne_grid(bs.branches, 0.0, detector.sigma)
+                grid = default_homodyne_grid(*bs.frame, 0.0, detector.sigma)
                 return [blur_pdf(homodyne_pdf(s, grid=grid), detector.sigma)
                         for s in (branch, complement)]
             pmfs = [pmf(branch), pmf(complement)]
@@ -377,12 +377,22 @@ class TestBranchMeasures:
             kd += w * half_l1
         assert both_measures(bs, detector) == pytest.approx((bc, kd), abs=1e-12)
 
-    def test_css_pnrd_blind(self):
-        # photon counting cannot tell |alpha> from |-alpha>
-        bs = two_coherent_branches(1.5)
-        det = DetectorModel.pnrd()
-        assert d_kd(bs, det) == pytest.approx(0.0, abs=1e-10)
-        assert d_bc(bs, det) == pytest.approx(0.0, abs=1e-10)
+    @pytest.mark.parametrize("sigma", (0.0, 1.0, 3.0))
+    @pytest.mark.parametrize("branch_set", [
+        two_coherent_branches(1.5),
+        css(0.5).branch_set,
+        css(2.0).branch_set,
+        *(psv(r, m).branch_set for r in (0.5, 1.5, 2.5) for m in (1, 2)),
+    ], ids=["coherent-1.5", "css-0.5", "css-2",
+            *(f"psv-{r}-m{m}" for r in (0.5, 1.5, 2.5) for m in (1, 2))])
+    def test_css_pnrd_blind(self, branch_set, sigma):
+        # photon counting cannot tell |alpha> from |-alpha>, nor psv's
+        # (u +- v)/sqrt(2): u and v have opposite parity, so both branches
+        # have the same |c_n|^2.  Blurred D_BC keeps the blur grid's edge
+        # error, up to 8.0e-10 (css 0.5 at sigma 3).
+        det = DetectorModel.pnrd(sigma=sigma)
+        assert d_kd(branch_set, det) == 0.0
+        assert d_bc(branch_set, det) < (1e-9 if sigma else 1e-15)
 
     @pytest.mark.parametrize("sigma", (1e-3, 0.5, 4.0, 20.0))
     @pytest.mark.parametrize("angle", (0.0, 0.4, 1.2))
@@ -483,7 +493,7 @@ class TestSqueezedFrame:
         branch_set = replace(make(), frame=None)
         branches = branch_set.branches
         assert branch_set.frame == (0.0, branches, (0.0,) * len(branches))
-        grid = default_homodyne_grid(branches, angle, sigma)
+        grid = default_homodyne_grid(0.0, branches, (0.0, 0.0), angle, sigma)
         rows = frame_pdfs(0.0, branches, (0.0, 0.0), angle, grid)
         rows, grid = blur_pdfs(rows, grid, sigma)
         got, got_grid = branch_distributions(branch_set, DetectorModel.homodyne(angle, sigma))
@@ -548,6 +558,23 @@ class TestDisplacedFrames:
         n_maxes = recording_hermite(monkeypatch)
         both_measures(make().branch_set, DetectorModel.homodyne(angle, sigma))
         assert n_maxes == [n_max]
+
+
+class TestCatalogHomodyneReadsTheFrame:
+    @pytest.mark.parametrize("angle", (0.0, 0.4, 1.2))
+    @pytest.mark.parametrize("sigma", (0.0, 1.0, 3.0))
+    @pytest.mark.parametrize("make", [partial(css, 1.3), partial(dfs, 2.0), partial(psv, 1.5, 2)],
+                             ids=["css", "dfs", "psv"])
+    def test_doubled_cutoffs_change_no_bit(self, make, sigma, angle):
+        # the grid and the rows both come from the frame's cores, so the
+        # truncation of the Fock branches never enters
+        det = DetectorModel.homodyne(angle, sigma)
+        with scaled_cutoffs(2):
+            doubled = make().branch_set
+        branch_set = make().branch_set
+        assert doubled.branches[0].cutoff > branch_set.branches[0].cutoff
+        for measure in (both_measures, d_kd):
+            assert measure(doubled, det) == measure(branch_set, det)
 
 
 class TestSharpPnrd:

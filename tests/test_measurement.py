@@ -70,7 +70,7 @@ class TestHermiteFunctions:
         # oscillatory region reached through the scaled recurrence: compare
         # psi_n(x)^2 sums against the known squeezed-state quadrature PDF
         sv = squeezed_vacuum(2.0)
-        grid = default_homodyne_grid([sv], math.pi / 2)
+        grid = default_homodyne_grid(0.0, [sv], (0.0,), math.pi / 2)
         pdf = homodyne_pdf(sv, math.pi / 2, grid)
         var = math.exp(4.0) / 2.0
         expect = np.exp(-pdf.xs**2 / (2 * var)) / math.sqrt(2 * math.pi * var)
