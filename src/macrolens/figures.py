@@ -196,11 +196,8 @@ def _fixed_params(state: TwoBranchState) -> dict:
 
 
 def _max_cutoff(state: TwoBranchState) -> int:
-    return max(
-        state.psi_plus.cutoff,
-        state.psi_minus.cutoff,
-        *(b.cutoff for b in state.branch_set.branches),
-    )
+    # psi_plus and psi_minus are padded to the larger branch's cutoff
+    return max(b.cutoff for b in state.branch_set.branches)
 
 
 @dataclass(frozen=True)

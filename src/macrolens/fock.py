@@ -154,7 +154,7 @@ class Ensemble:
 
 def _grow_cutoff(expand, cutoff: int, tol: float):
     """Double ``cutoff`` until ``expand(cutoff)`` has a tail below ``tol``, then
-    scale it by ``scaled_cutoffs``; returns (cutoff, amplitudes, tail).
+    scale it by ``scaled_cutoffs``; returns expand's (amplitudes, tail) there.
 
     A doubling that does not lower the tail ends the growth as unsupported,
     so a tail that stops falling cannot grow the basis without end.
@@ -172,7 +172,7 @@ def _grow_cutoff(expand, cutoff: int, tol: float):
     if scale > 1:
         cutoff *= scale
         amps, tail = expand(cutoff)
-    return cutoff, amps, tail
+    return amps, tail
 
 
 def coherent_state(alpha, tail_tolerance: float | None = None) -> FockVector:
@@ -218,7 +218,7 @@ def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -
         return pairs, max(tail for _, tail in pairs)
 
     # the vectors are built after the growth: at rho >= 1 _squeezed returns zeros
-    _, pairs, _ = _grow_cutoff(expand, cutoff, tol)
+    pairs, _ = _grow_cutoff(expand, cutoff, tol)
     return [from_amplitudes(amps, tail_mass=tail) for amps, tail in pairs]
 
 
@@ -339,7 +339,7 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
         return out[:cutoff], float(np.vdot(out[cutoff:], out[cutoff:]).real)
 
     cutoff = levels - 1 + max(16, math.ceil(x + 10.0 * math.sqrt(x + 1.0)))
-    _, amps, tail = _grow_cutoff(expand, cutoff, tol)
+    amps, tail = _grow_cutoff(expand, cutoff, tol)
     # the input's own tail adds by Cauchy-Schwarz, as in superpose
     return from_amplitudes(amps, tail_mass=(math.sqrt(tail) + math.sqrt(state.tail_mass)) ** 2)
 

@@ -183,9 +183,9 @@ def _support(probabilities: np.ndarray) -> np.ndarray:
     return np.nonzero(probabilities > probabilities.max() * 1e-16)[0]
 
 
-def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
+def _hermite_blocks(xs: np.ndarray, n_max: int):
     """Yield (levels, psi_levels(xs)) for the levels 0..n_max in consecutive
-    blocks of at most `size` rows, all from one running recurrence."""
+    blocks of at most _HERMITE_BLOCK rows, all from one running recurrence."""
     gauss_log = -0.5 * xs * xs
     prev = np.zeros_like(xs)
     cur = np.full_like(xs, math.pi ** -0.25)
@@ -193,8 +193,8 @@ def _hermite_blocks(xs: np.ndarray, n_max: int, size: int = _HERMITE_BLOCK):
     factor = np.exp(expo + gauss_log)  # changes only when expo does
     rescale = 120.0 * math.log(10.0)
     scan = np.abs(xs).max(initial=0.0) >= _UNSCALED_REACH  # else no rescale can fire
-    for start in range(0, n_max + 1, size):
-        levels = range(start, min(start + size, n_max + 1))
+    for start in range(0, n_max + 1, _HERMITE_BLOCK):
+        levels = range(start, min(start + _HERMITE_BLOCK, n_max + 1))
         out = np.empty((len(levels), xs.size))
         for row, n in zip(out, levels):
             if n:
@@ -225,17 +225,20 @@ def hermite_functions(x, n_max: int):
         raise InvalidArgumentError("n_max must be >= 0")
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ((_, out),) = _hermite_blocks(xs, n_max, n_max + 1)
+    out = np.concatenate([psi for _, psi in _hermite_blocks(xs, n_max)])
     return out[:, 0] if scalar else out
 
 
-def _hermite_product(coefficients: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """coefficients @ hermite_functions(xs, K - 1) for real coefficients of
-    shape (rows, K), summed one block of levels at a time."""
-    out = np.zeros((coefficients.shape[0], xs.size))
-    for levels, psi in _hermite_blocks(xs, coefficients.shape[1] - 1):
+def _waves(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_n a_kn psi_n(xs) for each row k of a complex amplitude table: one
+    Hermite recurrence and one real matrix product per block of levels, of
+    the real rows stacked over the imaginary ones."""
+    b = amplitudes.shape[0]
+    coefficients = np.concatenate([amplitudes.real, amplitudes.imag])
+    out = np.zeros((2 * b, xs.size))
+    for levels, psi in _hermite_blocks(xs, amplitudes.shape[1] - 1):
         out += coefficients[:, levels] @ psi
-    return out
+    return out[:b] + 1j * out[b:]
 
 
 def _check_grid(lo: float, hi: float) -> None:
@@ -257,8 +260,9 @@ def _components(subject) -> list[tuple[float, FockVector]]:
     raise InvalidArgumentError("subject must be a FockVector or Ensemble")
 
 
-def _padded_amplitudes(states, cutoff: int) -> np.ndarray:
-    out = np.zeros((len(states), cutoff), dtype=complex)
+def _padded_amplitudes(states) -> np.ndarray:
+    """The states' amplitudes as rows, zero-padded to the largest cutoff."""
+    out = np.zeros((len(states), max(s.cutoff for s in states)), dtype=complex)
     for row, s in zip(out, states):
         row[: s.cutoff] = s.amplitudes
     return out
@@ -282,15 +286,6 @@ def _frame_rotation(stretch: float, angle: float) -> tuple[float, float]:
     return math.hypot(wide, narrow), math.atan2(narrow, wide)
 
 
-def _densities(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """|sum_n a_kn psi_n(x)|^2 for each row k of the amplitudes at the points
-    xs: one Hermite recurrence and one real matrix product (per block of
-    levels) of the real and imaginary rows of the amplitudes."""
-    b = amplitudes.shape[0]
-    waves = _hermite_product(np.concatenate([amplitudes.real, amplitudes.imag]), xs)
-    return waves[:b] ** 2 + waves[b:] ** 2
-
-
 def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     """x_phi densities of the states D(shifts[k]) S(-stretch) cores[k] on one
     grid, one row per core, where D(s) moves x by s and S(-r) stretches x by
@@ -309,10 +304,11 @@ def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     xs = np.concatenate([
         np.linspace((grid_min - o) / lam, (grid_max - o) / lam, n_points) for o in offsets
     ])
-    cutoff = max(c.cutoff for c in cores)
-    rotated = np.exp(-1j * np.arange(cutoff) * theta) * _padded_amplitudes(cores, cutoff)
+    amplitudes = _padded_amplitudes(cores)
+    rotated = np.exp(-1j * np.arange(amplitudes.shape[1]) * theta) * amplitudes
     # one table over every copy; core k keeps only its own copy's columns
-    rows = _densities(rotated, xs).reshape(len(cores), len(offsets), n_points)
+    waves = _waves(rotated, xs)
+    rows = (waves.real**2 + waves.imag**2).reshape(len(cores), len(offsets), n_points)
     return rows[range(len(cores)), [offsets.index(o) for o in moved]] / lam
 
 
@@ -334,7 +330,7 @@ def pnrd_pmfs(states) -> np.ndarray:
     """Photon-count probabilities P(n) = |c_n|^2 of pure states, one row per
     state, padded to one cutoff."""
     _require_rows(states)
-    return np.abs(_padded_amplitudes(states, max(s.cutoff for s in states))) ** 2
+    return np.abs(_padded_amplitudes(states)) ** 2
 
 
 def pnrd_pmf(subject) -> Pmf:
@@ -473,8 +469,7 @@ class WignerField:
     values: np.ndarray  # shape (len(xs), len(ps))
 
     def integral(self) -> float:
-        inner = np.trapezoid(self.values, x=self.ps, axis=1)
-        return float(np.trapezoid(inner, x=self.xs))
+        return float(np.trapezoid(self.marginal_x(), x=self.xs))
 
     def marginal_x(self) -> np.ndarray:
         """Integrate out p; equals the phi=0 homodyne PDF on self.xs."""
@@ -507,12 +502,7 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
             f" ({n_u} sample points, {n_y} y steps)"
         )
     step = dx / refine
-    amplitudes = _padded_amplitudes(states, cutoff)
-    waves = _hermite_product(
-        np.concatenate([amplitudes.real, amplitudes.imag]),
-        xs[0] + step * np.arange(-margin, n_u - margin),
-    )
-    waves = waves[: len(states)] + 1j * waves[len(states) :]
+    waves = _waves(_padded_amplitudes(states), xs[0] + step * np.arange(-margin, n_u - margin))
     centre = margin + refine * np.arange(xs.size)[:, None]
     offset = stride * np.arange(n_y)
     products = sum(

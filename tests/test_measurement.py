@@ -37,7 +37,7 @@ from macrolens.errors import (
 from macrolens import measurement
 from macrolens.measurement import (
     _HERMITE_BLOCK,
-    _hermite_product,
+    _waves,
     blur_pdfs,
     checked_rows,
     blur_pmfs,
@@ -76,13 +76,32 @@ class TestHermiteFunctions:
         expect = np.exp(-pdf.xs**2 / (2 * var)) / math.sqrt(2 * math.pi * var)
         assert np.max(np.abs(pdf.values - expect)) < 1e-8
 
+    @pytest.mark.parametrize("n", (0, 1, 127, 128, 129, 388))
+    def test_matches_mpmath_across_block_seams(self, n):
+        # psi_n(x) = H_n(x) e^{-x^2/2} / (pi^{1/4} sqrt(2^n n!)) at 40 digits;
+        # values below about 1e-230 at x = 40 underflow to 0
+        mp = pytest.importorskip("mpmath")
+        xs = np.array([0.0, 2.5, 15.0, 27.0, 40.0])
+        with mp.workdps(40):
+            exact = [
+                float(mp.hermite(n, x) * mp.exp(-mp.mpf(x) ** 2 / 2)
+                      / (mp.pi ** mp.mpf(0.25) * mp.sqrt(2**n * mp.factorial(n))))
+                for x in xs
+            ]
+        assert np.max(np.abs(hermite_functions(xs, n)[n] - exact)) < 1e-13
+
     @pytest.mark.parametrize("levels", (_HERMITE_BLOCK, 3 * _HERMITE_BLOCK + 5))
     def test_blocked_product_matches_one_table(self, levels):
         rng = np.random.default_rng(7)
-        coefficients = rng.standard_normal((3, levels))
+        amplitudes = rng.standard_normal((3, levels)) + 1j * rng.standard_normal((3, levels))
         xs = np.linspace(-30.0, 30.0, 401)
-        blocked = _hermite_product(coefficients, xs)
-        whole = coefficients @ hermite_functions(xs, levels - 1)
+        blocked = _waves(amplitudes, xs)
+        # the stacked real product, as _waves runs it: BLAS may block a
+        # 3-row product differently from a 6-row one
+        stacked = np.concatenate([amplitudes.real, amplitudes.imag]) @ hermite_functions(
+            xs, levels - 1
+        )
+        whole = stacked[:3] + 1j * stacked[3:]
         if levels <= _HERMITE_BLOCK:
             assert np.array_equal(blocked, whole)
         else:
