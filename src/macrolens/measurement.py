@@ -28,10 +28,11 @@ PNRD = "pnrd"
 DEFAULT_GRID_POINTS = 2048
 _MASS_TOL = 1e-6
 _MAX_BLUR_POINTS = 2**22
-# Grid cells per pass of blur_pmfs.  A pass makes about ten numpy calls, so
+# Grid cells per pass of blur_pmfs.  A pass finds its cells' outcome runs
+# with six numpy calls, then makes about eight per outcome step, so
 # thousands of cells keep their fixed cost small next to the arithmetic;
-# a pass's temporaries (a few per branch, 64 kB each) stay in cache and
-# add little to the peak memory of one table.
+# a pass's temporaries (a few per distinct row, 64 kB each) stay in cache
+# and add little to the peak memory of one table.
 _BLUR_BLOCK = 8192
 # Steps of the Gaussian recurrence in blur_pmfs between two fresh np.exp
 # evaluations.  Each step adds a few ulp of relative error; unchecked, the
@@ -391,13 +392,20 @@ def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
 def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
     """Photon-count rows read out with Gaussian noise: mixtures of width-sigma
     Gaussians centered on the integer outcomes, as density rows on one grid
-    over lambda in [-6 sigma, top + 6 sigma], top being the largest
-    significant outcome of any row; returns (rows, grid)."""
+    over the photon number in [-6 sigma, top + 6 sigma], top being the
+    largest significant outcome of any row; returns (rows, grid).  Each
+    distinct row is summed once; a row equal to an earlier one, bit for bit,
+    gets a copy of that row's sums."""
     _require_rows(rows)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
         raise UsePmfDirectly("sigma = 0: keep using the discrete Pmf")
+    # css and psv branches share their counts, so a table is often one row
+    # twice.  Only exact equality merges rows: twins blur to the same bits.
+    keys = {}
+    twin = [keys.setdefault(row.tobytes(), len(keys)) for row in rows]
+    rows = rows[[twin.index(k) for k in range(len(keys))]]
     supports = [_support(row) for row in rows]
     # The grid covers the effective support only, with a step fixed at
     # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
@@ -424,9 +432,13 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
     # Each Gaussian is summed within 9 sigma (144 steps) of its outcome only;
     # beyond that it is below e^-40.5 of its peak.  So cell j takes the
     # outcomes whose centres lie in [j - 144, j + 144], a run of consecutive
-    # n.  The sum walks blocks of cells; pass k adds each cell's k-th
-    # outcome, so every cell adds its terms in ascending-n order from 0.  A
-    # cell whose run is shorter adds column top + 1 of `weights`, which is 0.
+    # n.  The sum walks blocks of cells.  A block counts its outcomes per
+    # cell, from 144 cells before its first to 144 after its last; the
+    # running count `below` then gives each cell's run: first = centres
+    # below j - 144, stop = centres at or below j + 144.  Pass k adds each
+    # cell's k-th outcome, so every cell adds its terms in ascending-n order
+    # from 0.  A cell whose run is shorter adds column top + 1 of `weights`,
+    # which is 0.
     # Along a run the Gaussian g_n = G(x - n) needs no exp: with
     # r_n = exp((x - n - 1/2)/sigma^2), g_{n+1} = g_n r_n and
     # r_{n+1} = r_n exp(-1/sigma^2) (fast Gaussian gridding, Greengard & Lee,
@@ -437,9 +449,11 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
     for start in range(0, n_points, _BLUR_BLOCK):
         cells = slice(start, start + _BLUR_BLOCK)
         x, block = xs[cells], values[:, cells]
-        j = np.arange(start, start + x.size)
-        first = np.searchsorted(centres, j - 144, side="left")
-        stop = np.searchsorted(centres, j + 144, side="right")
+        edge, size = start - 144, x.size
+        a, b = np.searchsorted(centres, [edge, start + size + 144])
+        counts = np.bincount(centres[a:b] - edge, minlength=size + 289)
+        below = a + np.concatenate(([0], np.cumsum(counts)))
+        first, stop = below[:size], below[289:289 + size]
         for k in range(int((stop - first).max())):
             index = first + k
             if k % _BLUR_REANCHOR == 0:
@@ -451,7 +465,7 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
                 ratio *= decay
             index[index >= stop] = top + 1
             block += weights.take(index, axis=1) * gauss
-    return values, (lo, hi, n_points)
+    return values[twin], (lo, hi, n_points)
 
 
 def blur_pmf(pmf: Pmf, sigma: float) -> Pdf:

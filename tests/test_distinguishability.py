@@ -310,7 +310,15 @@ class TestBranchMeasures:
         (dfs(2.0).branch_set.branches, 0.0584),
         # runs of up to 361 outcomes, far longer than one re-anchoring stride
         (psv(2.5).branch_set.branches, 20.0),
-    ], ids=["zeros-0.5", "zeros-2.6", "css-1e-3", "css-0.03", "dfs-0.0584", "psv-20"])
+        # several outcomes per cell: runs of up to 1806 outcomes, one of
+        # which spans the whole support of css(3.0)
+        (psv(2.5).branch_set.branches, 100.0),
+        (css(3.0).branch_set.branches, 100.0),
+        (dfs(2.0).branch_set.branches, 37.0),
+        # a grid step of exactly one outcome
+        (psv(1.0).branch_set.branches, 16.0),
+    ], ids=["zeros-0.5", "zeros-2.6", "css-1e-3", "css-0.03", "dfs-0.0584", "psv-20",
+            "psv-100", "css-100", "dfs-37", "psv-16"])
     def test_blur_pmfs_matches_per_branch_loop(self, branches, sigma):
         values, (grid_min, grid_max, _) = blur_pmfs(pnrd_pmfs(branches), sigma)
         lo, hi, rows = blur_one_branch_at_a_time(branches, sigma)

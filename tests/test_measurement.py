@@ -22,6 +22,7 @@ from macrolens import (
     fock_state,
     hermite_functions,
     homodyne_pdf,
+    pad_to_cutoff,
     pnrd_pmf,
     psv,
     squeezed_vacuum,
@@ -35,6 +36,7 @@ from macrolens.errors import (
     UsePmfDirectly,
 )
 from macrolens import measurement
+from macrolens.distinguishability import branch_distributions
 from macrolens.measurement import (
     _HERMITE_BLOCK,
     _waves,
@@ -269,6 +271,28 @@ class TestBlurPmf:
         pmf = pnrd_pmf(coherent_state(1.5))
         pdf = blur_pmf(pmf, 3.0)
         assert pdf.integral() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("order", ["aba", "baa", "aa"])
+    def test_repeated_rows_blur_to_their_twins(self, order):
+        # each row of a table with repeats is, bit for bit, its twin's row
+        # in the blur of the distinct rows, on that blur's grid
+        pad = pad_to_cutoff(coherent_state(1.2), 40)
+        table = {"a": pnrd_pmf(pad).probabilities,
+                 "b": pnrd_pmf(fock_state(3, 40)).probabilities}
+        distinct = "".join(dict.fromkeys(order))
+        expected, grid = blur_pmfs(np.stack([table[k] for k in distinct]), 1.3)
+        values, values_grid = blur_pmfs(np.stack([table[k] for k in order]), 1.3)
+        assert values_grid == grid
+        for key, row in zip(order, values, strict=True):
+            assert np.array_equal(row, expected[distinct.index(key)])
+
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    @pytest.mark.parametrize("state", [css(1.5), psv(2.5), psv(2.5, m=2)],
+                             ids=["css", "psv-m1", "psv-m2"])
+    def test_css_and_psv_branches_blur_to_one_row(self, state, sigma):
+        # |alpha> and |-alpha> share |c_n|^2, and so do psv's (u +- v)/sqrt(2)
+        rows, _ = branch_distributions(state.branch_set, DetectorModel.pnrd(sigma=sigma))
+        assert np.array_equal(rows[0], rows[1])
 
     def test_peak_memory_stays_near_the_output(self):
         # the output rows and one cell block's temporaries; an
