@@ -12,47 +12,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 # d_kd is unused here but the perfbench/spans.py tracer still wraps catalog.d_kd
 from .distinguishability import BranchSet, d_kd
 from .errors import InvalidArgumentError, UnsupportedRangeError
-# squeezed_vacuum and subtract_photons, like d_kd, are unused here but
-# wrapped by that tracer
+# displace, squeezed_vacuum and subtract_photons, like d_kd, are unused here
+# but wrapped by that tracer
 from .fock import (
     FockVector,
-    _squeezed_states,
+    _check_tail_tolerance,
+    _deferred,
+    _displaced,
+    _displaced_cutoffs,
+    _grow_cutoff,
+    _squeezed_amplitudes,
+    _squeezed_start,
     coherent_state,
     displace,
     fock_state,
+    from_amplitudes,
     pad_to_cutoff,
     squeezed_vacuum,
     subtract_photons,
     superpose,
 )
 
+
+# The frame cores of css and dfs, which no parameter changes: each keeps its
+# moments (FockVector._ladder) from one state to the next.
+_VACUUM = fock_state(0, 1)
+_DFS_CORES = tuple(superpose(fock_state(0, 2), fock_state(1, 2), sign) for sign in (+1, -1))
+
+
 @dataclass(frozen=True)
 class TwoBranchState:
-    """A B=2 branch set with its derived superpositions psi_pm."""
+    """A B=2 branch set with its superpositions psi_pm, proportional to
+    |b1> +- |b2>, and their fluctuation photon numbers N and mean photon
+    numbers <n>, (plus, minus), in closed form.
+
+    psi_plus and psi_minus are built from the branches on first read.
+    """
 
     branch_set: BranchSet
-    psi_plus: FockVector
-    psi_minus: FockVector
     family: str
     params: dict
+    n_fluct: tuple
+    mean_n: tuple
+
+    @cached_property
+    def psi_plus(self) -> FockVector:
+        return superpose(*self.branch_set.branches, +1)
+
+    @cached_property
+    def psi_minus(self) -> FockVector:
+        return superpose(*self.branch_set.branches, -1)
 
 
-def _two_branch(b1: FockVector, b2: FockVector, family: str,
-                params: dict, frame=None) -> TwoBranchState:
+def _two_branch(family: str, params: dict, frame, branches, counts,
+                n_fluct: tuple, mean_n: tuple) -> TwoBranchState:
+    """A catalog state whose branches and count rows, functions of no
+    arguments, are evaluated on first read under the cutoff scale in force
+    now."""
     coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return TwoBranchState(
-        branch_set=BranchSet(coeffs, (b1, b2), frame),
-        psi_plus=superpose(b1, b2, +1),
-        psi_minus=superpose(b1, b2, -1),
-        family=family,
-        params=params,
-    )
+    branch_set = BranchSet(coeffs, _deferred(branches), frame, _deferred(counts))
+    return TwoBranchState(branch_set, family, params, n_fluct, mean_n)
 
 
 def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
@@ -60,15 +86,25 @@ def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
 
     |+-alpha> = D(+-alpha)|0> is the vacuum moved to x = +-sqrt(2) alpha, so
     the branch set carries the frame ((|0>, |0>) at those shifts), from
-    which homodyne detection at every angle is exact.
+    which homodyne detection at every angle is exact.  Both branches count
+    photons as the Poisson row e^{-alpha^2} alpha^{2n} / n!, and psi_pm are
+    the even and odd cats, whose <a> vanishes by parity: N = <n> =
+    alpha^2 tanh^{+-1}(alpha^2).
     """
     alpha = float(alpha)
     if not (0.0 < alpha <= 4.0):
         raise UnsupportedRangeError(f"css requires 0 < alpha <= 4, got {alpha}")
-    b1 = coherent_state(alpha, tail_tolerance)
-    b2 = coherent_state(-alpha, tail_tolerance)
-    vac, shift = fock_state(0, 1), math.sqrt(2.0) * alpha
-    return _two_branch(b1, b2, "css", {"alpha": alpha}, frame=(0.0, (vac, vac), (shift, -shift)))
+    tol = _check_tail_tolerance(tail_tolerance)
+    shift = math.sqrt(2.0) * alpha
+    x = alpha * alpha
+    # as x -> 0 the odd cat tends to |1>, and x / tanh(x) to 1
+    n = (x * math.tanh(x), x / math.tanh(x) if x else 1.0)
+    return _two_branch(
+        "css", {"alpha": alpha}, (0.0, (_VACUUM, _VACUUM), (shift, -shift)),
+        lambda: (coherent_state(alpha, tol), coherent_state(-alpha, tol)),
+        lambda: _displaced_counts(alpha, (0.0,), 1, tol)[[0, 0]],
+        n, n,
+    )
 
 
 def psv(r: float, m: int = 1) -> TwoBranchState:
@@ -88,20 +124,33 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     a^k S|0> = S (cosh r a + sinh r a^dag)^k |0>, so each branch is also S
     applied to a core on m + 2 levels.  The branch set carries the cores as
     its frame, from which homodyne detection at every angle is evaluated in
-    closed form.
+    closed form; N and <n> of psi_pm follow from the cores of u and v (see
+    _subtracted_photons).  u and v share no photon number, so both branches
+    count photons as (|u_n|^2 + |v_n|^2) / 2.
     """
     r = float(r)
     if not (0.0 <= r <= 2.5):
         raise UnsupportedRangeError(f"psv requires 0 <= r <= 2.5, got {r}")
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
-    u, v = _squeezed_states(-r, (m, m + 1))
-    # u and v have opposite photon-number parity, hence are orthogonal
-    b1 = superpose(u, v, +1)
-    b2 = superpose(u, v, -1)
+    tol = _check_tail_tolerance()
+    _squeezed_start(-r, (m, m + 1))  # refuses r = 0 and an m the start levels cannot hold
     core_u, core_v = _core(r, m), _core(r, m + 1)
     cores = (superpose(core_u, core_v, +1), superpose(core_u, core_v, -1))
-    return _two_branch(b1, b2, "psv", {"r": r, "m": m}, frame=(r, cores, (0.0, 0.0)))
+    n = tuple(_subtracted_photons(r, core) for core in (core_u, core_v))
+    # the amplitudes of u and v, grown once for the branches and the count rows
+    subtracted = cache(lambda: _squeezed_amplitudes(-r, (m, m + 1), tol))
+
+    def branches():
+        u, v = (from_amplitudes(amps, tail_mass=tail) for amps, tail in subtracted())
+        # u and v have opposite photon-number parity, hence are orthogonal
+        return superpose(u, v, +1), superpose(u, v, -1)
+
+    def counts():
+        row = sum(amps**2 / (amps @ amps) for amps, _ in subtracted()) / 2.0
+        return np.stack([row, row])
+
+    return _two_branch("psv", {"r": r, "m": m}, (r, cores, (0.0, 0.0)), branches, counts, n, n)
 
 
 def _core(r: float, m: int) -> FockVector:
@@ -118,22 +167,67 @@ def _core(r: float, m: int) -> FockVector:
     return FockVector(core / math.sqrt(core @ core))
 
 
+def _subtracted_photons(r: float, core: FockVector) -> float:
+    """<n> of S core for S = S(-r), from the core's moments: S^dag a S =
+    cosh r a + sinh r a^dag gives c^2 <n> + s^2 (<n> + 1) + 2 c s Re<a^2>.
+    It is also N: a core holds one photon-number parity, so <a> = 0."""
+    _, mean_n, mean_a2 = core._ladder
+    c, s = math.cosh(r), math.sinh(r)
+    return c * c * mean_n + s * s * (mean_n + 1.0) + 2.0 * c * s * mean_a2.real
+
+
 def dfs(alpha: float) -> TwoBranchState:
     """Displaced Fock superposition: branches D(alpha)(|0> +- |1>)/sqrt(2).
 
     The branch set carries the frame of its two-level cores (|0> +- |1>)/sqrt(2)
     moved to x = sqrt(2) alpha, from which homodyne detection at every angle
-    is exact.
+    is exact.  psi_plus = D(alpha)|0> and psi_minus = D(alpha)|1>, so
+    (N, <n>) is (0, alpha^2) and (1, alpha^2 + 1).
     """
     alpha = float(alpha)
     if not (0.0 <= alpha <= 4.0):
         raise UnsupportedRangeError(f"dfs requires 0 <= alpha <= 4, got {alpha}")
-    vac, one = fock_state(0, 2), fock_state(1, 2)
-    cores = (superpose(vac, one, +1), superpose(vac, one, -1))
-    # the 4 input levels set where the displaced branches' cutoffs start
-    b1, b2 = (displace(pad_to_cutoff(core, 4), alpha) for core in cores)
+    tol = _check_tail_tolerance()
     shift = math.sqrt(2.0) * alpha
-    return _two_branch(b1, b2, "dfs", {"alpha": alpha}, frame=(0.0, cores, (shift, shift)))
+    return _two_branch(
+        "dfs", {"alpha": alpha}, (0.0, _DFS_CORES, (shift, shift)),
+        lambda: tuple(_displaced_branch(core, alpha, tol) for core in _DFS_CORES),
+        lambda: _displaced_counts(alpha, (1.0, -1.0), 4, tol),
+        (0.0, 1.0), (alpha * alpha, alpha * alpha + 1.0),
+    )
+
+
+def _displaced_branch(core: FockVector, alpha: float, tol: float) -> FockVector:
+    """D(alpha) core from 4 input levels, which set where its cutoff starts;
+    D(0) is the identity, which keeps them."""
+    padded = pad_to_cutoff(core, 4)
+    return _displaced(padded, alpha, tol) if alpha else padded
+
+
+def _displaced_counts(alpha: float, signs, levels: int, tol: float) -> np.ndarray:
+    """Photon-count rows of D(alpha) (|0> + s|1>) / sqrt(1 + s^2), one row
+    per s in ``signs``, normalized on the cutoff that fock._displaced grows
+    for D(alpha) on ``levels`` input levels, as the displaced FockVectors
+    are.  With c_n = <n|D(alpha)|0> = e^{-alpha^2/2} alpha^n / sqrt(n!),
+    <n|D(alpha)|1> = sqrt(n) c_{n-1} - alpha c_n.
+    """
+    def rows_on(size: int) -> np.ndarray:
+        root = np.sqrt(np.arange(size))
+        c = math.exp(-0.5 * alpha * alpha) * np.cumprod(np.append(1.0, alpha / root[1:]))
+        one = root * np.append(0.0, c[:-1]) - alpha * c
+        return np.array([(c + s * one) ** 2 / (1.0 + s * s) for s in signs])
+
+    if alpha == 0.0:
+        rows = rows_on(levels)
+    else:
+        start, reach = _displaced_cutoffs(levels, alpha)
+
+        def expand(cutoff: int):
+            rows = rows_on(cutoff + reach)
+            return rows[:, :cutoff], float(rows[:, cutoff:].sum(axis=1).max())
+
+        rows, _ = _grow_cutoff(expand, start, tol)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 # family -> (name of its swept parameter, constructor reading its own keywords)

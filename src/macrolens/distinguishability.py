@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,28 @@ _SHARP_PNRD_SIGMA = 1.0 / math.sqrt(8.0 * math.log(1e16))
 _MAX_STRETCH = math.log(np.finfo(float).max)
 
 
+class _OnFirstRead:
+    """A dataclass field that may also be given as a function of no
+    arguments: the first read calls it and keeps what it returns."""
+
+    def __init__(self, default=MISSING):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # dataclass reads the field's default here
+            return self.default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class BranchSet:
     """Coefficients c_k and normalized branches |b_k>, k = 0..B-1.
@@ -59,24 +82,40 @@ class BranchSet:
     (see measurement.frame_pdfs).  Without a frame the branch set carries its
     identity frame (0, branches, (0,) * B), which reads the branches
     themselves; so a copy with new branches needs a new frame or None.
+
+    ``counts`` is the B x K table of photon-count probabilities, row k for
+    branch k, which photon counting reads; None reads |c_kn|^2 of the
+    branches, so a copy with new branches needs new counts or None too.
+    The table is checked and made read-only on first read.  ``branches``
+    and ``counts`` may each be a function of no arguments, called on the
+    first read of the attribute: branches given so need a frame and counts.
     """
 
     coefficients: np.ndarray
-    branches: tuple
+    branches: tuple = _OnFirstRead()
     frame: tuple | None = None
+    counts: np.ndarray | None = _OnFirstRead(None)
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=complex)
-        branches = tuple(self.branches)
         if coeffs.ndim != 1 or coeffs.size < 2:
             raise InvalidArgumentError("need at least two branch coefficients")
-        if len(branches) != coeffs.size:
-            raise InvalidArgumentError("coefficients and branches differ in length")
-        for b in branches:
-            if not isinstance(b, FockVector):
-                raise InvalidArgumentError("branches must be FockVectors")
-        frame = (0.0, branches, (0.0,) * len(branches)) if self.frame is None else self.frame
-        if not (len(frame) == 3 and len(frame[1]) == len(frame[2]) == len(branches)):
+        branches, counts = self.__dict__["branches"], self.__dict__["counts"]
+        if callable(branches):
+            if self.frame is None or counts is None:
+                raise InvalidArgumentError("branches built on demand need a frame and counts")
+        else:
+            branches = tuple(branches)
+            if len(branches) != coeffs.size:
+                raise InvalidArgumentError("coefficients and branches differ in length")
+            for b in branches:
+                if not isinstance(b, FockVector):
+                    raise InvalidArgumentError("branches must be FockVectors")
+            object.__setattr__(self, "branches", branches)
+            if counts is None:
+                counts = partial(pnrd_pmfs, branches)
+        frame = (0.0, branches, (0.0,) * coeffs.size) if self.frame is None else self.frame
+        if not (len(frame) == 3 and len(frame[1]) == len(frame[2]) == coeffs.size):
             raise InvalidArgumentError("a frame needs one core and one shift per branch")
         if not all(isinstance(core, FockVector) for core in frame[1]):
             raise InvalidArgumentError("frame cores must be FockVectors")
@@ -91,16 +130,25 @@ class BranchSet:
             raise InvalidArgumentError("need at least two branches of nonzero weight")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "counts", partial(_checked_counts, counts, coeffs.size))
 
     @property
     def size(self) -> int:
-        return len(self.branches)
+        return self.coefficients.size
 
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
+
+
+def _checked_counts(counts, size: int) -> np.ndarray:
+    """A copy of the count table (or of what the function ``counts`` returns),
+    checked as photon-count rows, one per branch, and read-only."""
+    rows = np.array(counts() if callable(counts) else counts, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] != size:
+        raise InvalidArgumentError("counts need one row of probabilities per branch")
+    return checked_rows(rows, None)
 
 
 def _complement_weights(weights) -> np.ndarray:
@@ -154,14 +202,14 @@ def branch_distributions(branch_set: BranchSet, detector: DetectorModel) -> tupl
     grid is None.
 
     Homodyne detection reads the branch set's frame at the detector's angle;
-    photon counting reads the branches' Fock amplitudes.  Photon counting at
-    sigma <= _SHARP_PNRD_SIGMA keeps the unblurred probabilities, which equal
-    the blurred densities to double precision.
+    photon counting reads its count rows.  Photon counting at sigma <=
+    _SHARP_PNRD_SIGMA returns the count rows, which equal the blurred
+    densities to double precision.
     """
     if detector.kind != HOMODYNE:
-        rows, grid = pnrd_pmfs(branch_set.branches), None
-        if detector.sigma > _SHARP_PNRD_SIGMA:
-            rows, grid = blur_pmfs(rows, detector.sigma)
+        if detector.sigma <= _SHARP_PNRD_SIGMA:
+            return branch_set.counts, None
+        rows, grid = blur_pmfs(branch_set.counts, detector.sigma)
     else:
         rows, grid = blur_pdfs(*_homodyne_rows(branch_set, detector), detector.sigma)
     return checked_rows(rows, grid), grid

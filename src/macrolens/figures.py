@@ -21,8 +21,8 @@ from .distinguishability import both_measures, d_kd, dfs_kd_closed_form
 from .errors import InvalidArgumentError, UnsupportedRangeError
 from .fock import Ensemble, coherent_state
 # n_fluct is unused here but the perfbench/spans.py tracer still wraps figures.n_fluct
-from .macroscopicity import n_fluct, photon_numbers, report
-from .measurement import DetectorModel, wigner
+from .macroscopicity import n_fluct, report
+from .measurement import PNRD, DetectorModel, wigner
 
 CONVENTION = "x=(a+adag)/sqrt(2); p=(a-adag)/(i*sqrt(2)); vacuum var=1/2"
 
@@ -195,9 +195,20 @@ def _fixed_params(state: TwoBranchState) -> dict:
     return {k: v for k, v in state.params.items() if k != PARAM_NAMES[state.family]}
 
 
-def _max_cutoff(state: TwoBranchState) -> int:
-    # psi_plus and psi_minus are padded to the larger branch's cutoff
-    return max(b.cutoff for b in state.branch_set.branches)
+def _max_cutoff(state: TwoBranchState, detectors) -> int | None:
+    # The count rows are as long as the larger branch's cutoff, and so are
+    # psi_plus and psi_minus.  Homodyne numbers read the frame and N is in
+    # closed form, so no truncated basis enters a point without a photon
+    # counter, and it states no cutoff.
+    if any(det.kind == PNRD for det in detectors):
+        return state.branch_set.counts.shape[1]
+    return None
+
+
+def _cutoff_metadata(key: str, cutoffs) -> dict:
+    """{key: the largest cutoff}, or {} when no point read count rows."""
+    cutoffs = [c for c in cutoffs if c is not None]
+    return {key: max(cutoffs)} if cutoffs else {}
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,7 @@ class _Point:
     n_fluct: tuple
     mean_n: tuple
     d_by_detector: dict
-    cutoff: int
+    cutoff: int | None
     fixed_params: dict
 
 
@@ -221,13 +232,12 @@ def _evaluate(family: str, values, detectors, measure, m: int = 1) -> list:
     points = []
     for value in values:
         state = build(family, **{PARAM_NAMES[family]: float(value)}, m=m)
-        n, mean_n = zip(*(photon_numbers(psi) for psi in (state.psi_plus, state.psi_minus)))
         points.append(_Point(
             value=float(value),
-            n_fluct=n,
-            mean_n=mean_n,
+            n_fluct=state.n_fluct,
+            mean_n=state.mean_n,
             d_by_detector={det: measure(state.branch_set, det) for det in detectors},
-            cutoff=_max_cutoff(state),
+            cutoff=_max_cutoff(state, detectors),
             fixed_params=_fixed_params(state),
         ))
     return points
@@ -248,7 +258,8 @@ def compute(family: str, params: dict, detector: str, sigma: float,
         family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, state.params[param],
         rep.mean_n, rep.n_fluct, rep.d_bc, rep.d_kd, rep.m_bc, rep.m_kd,
     ]
-    meta = _base_metadata(cutoff=_max_cutoff(state), **_fixed_params(state))
+    meta = _base_metadata(**_cutoff_metadata("cutoff", [_max_cutoff(state, [det])]),
+                          **_fixed_params(state))
     return ResultTable(columns, [row], meta)
 
 
@@ -281,7 +292,7 @@ def sweep(spec: SweepSpec) -> ResultTable:
     meta = _base_metadata(
         family=spec.family,
         detector=spec.detector,
-        max_cutoff=max(p.cutoff for p in points),
+        **_cutoff_metadata("max_cutoff", (p.cutoff for p in points)),
         **points[0].fixed_params,
     )
     return ResultTable(columns, rows, meta)
@@ -308,7 +319,7 @@ def _figure_wigner(steps: int) -> ResultTable:
     meta = _base_metadata(
         figure="wigner",
         alpha=alpha,
-        max_cutoff=_max_cutoff(state),
+        max_cutoff=state.psi_minus.cutoff,
         grid_points=steps,
     )
     return ResultTable(["x", "p", "w_superposition", "w_mixture"], rows, meta)
@@ -337,7 +348,7 @@ def _figure_family(family: str, start: float, stop: float, steps: int) -> Result
             for p in points
         ]
     meta = _base_metadata(
-        figure=family, family=family, max_cutoff=max(p.cutoff for p in points)
+        figure=family, family=family, **_cutoff_metadata("max_cutoff", (p.cutoff for p in points))
     )
     return ResultTable(columns, rows, meta)
 
@@ -362,7 +373,7 @@ def _figure_noise(family: str, steps: int) -> ResultTable:
     meta = _base_metadata(
         figure=f"noise-{family}",
         family=family,
-        max_cutoff=max(p.cutoff for p in points),
+        **_cutoff_metadata("max_cutoff", (p.cutoff for p in points)),
         sigma_note="sigma is in detector-native units; homodyne and pnrd axes are not comparable",
     )
     return ResultTable(columns, rows, meta)
@@ -382,12 +393,11 @@ def _figure_summary(steps: int) -> ResultTable:
         "mean_n", "n_fluct", "d_kd", "m_kd",
     ]
     detectors = [_detector(kind, s) for kind in ("homodyne", "pnrd") for s in (0.0, 2.0)]
-    rows = []
-    max_cutoff = 0
+    rows, cutoffs = [], []
     for family in FAMILIES:
         start, stop = _SUMMARY_RANGES[family]
         points = _evaluate(family, np.linspace(start, stop, steps), detectors, d_kd)
-        max_cutoff = max(max_cutoff, *(p.cutoff for p in points))
+        cutoffs.extend(p.cutoff for p in points)
         for det in detectors:
             for p in points:
                 dist_kd = p.d_by_detector[det]
@@ -398,7 +408,7 @@ def _figure_summary(steps: int) -> ResultTable:
                     ])
     meta = _base_metadata(
         figure="summary",
-        max_cutoff=max_cutoff,
+        **_cutoff_metadata("max_cutoff", cutoffs),
         sigma_note="sigma is in detector-native units; homodyne and pnrd axes are not comparable",
     )
     return ResultTable(columns, rows, meta)

@@ -15,6 +15,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,18 @@ def scaled_cutoffs(factor: int):
         yield
     finally:
         _CUTOFF_SCALE.reset(token)
+
+
+def _deferred(make):
+    """``make``, a function of no arguments, to be called later under the
+    cutoff scale in force now: a deferred build grows the cutoffs that an
+    immediate one would."""
+    scale = _CUTOFF_SCALE.get()
+
+    def call():
+        with scaled_cutoffs(scale):
+            return make()
+    return call
 
 
 def _check_tail_tolerance(tol: float | None = None) -> float:
@@ -108,6 +121,11 @@ class FockVector:
 
     def fidelity(self, other: "FockVector") -> float:
         return abs(self.overlap(other)) ** 2
+
+    @cached_property
+    def _ladder(self) -> tuple[complex, float, complex]:
+        """(<a>, <n>, <a^2>), evaluated once per vector."""
+        return _ladder_expectations(self)
 
 
 def from_amplitudes(amplitudes, tail_mass: float = 0.0) -> FockVector:
@@ -191,12 +209,36 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
 
 def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -> list:
     """The normalized a^k S(r)|0> for each k in ``ks``, as FockVectors on one
+    cutoff (see _squeezed_amplitudes)."""
+    return [from_amplitudes(amps, tail_mass=tail)
+            for amps, tail in _squeezed_amplitudes(r, ks, tail_tolerance)]
+
+
+def _squeezed_amplitudes(r: float, ks: tuple, tail_tolerance: float | None = None) -> list:
+    """(amplitudes, dropped mass) of a^k S(r)|0> for each k in ``ks``, on one
     cutoff, grown from max(16, 20 e^{2|r|}) until every one of their tails is
     below the tolerance (a^k reweights the squeezed vacuum's tail by about
-    n^k, and the parity of the cutoff decides which k loses a level).
+    n^k, and the parity of the cutoff decides which k loses a level).  The
+    real amplitudes are normalized beyond the cutoff, as _squeezed returns them.
     """
     tol = _check_tail_tolerance(tail_tolerance)
     r = float(r)
+    cutoff = _squeezed_start(r, ks)
+    if r == 0.0:  # S(0)|0> is the vacuum, and _squeezed_start refused every k > 0
+        return [(np.eye(1, cutoff)[0], 0.0)]
+
+    def expand(levels: int):
+        pairs = [_squeezed(r, k, levels) for k in ks]
+        return pairs, max(tail for _, tail in pairs)
+
+    # callers normalize only the grown amplitudes: at rho >= 1 _squeezed returns zeros
+    pairs, _ = _grow_cutoff(expand, cutoff, tol)
+    return pairs
+
+
+def _squeezed_start(r: float, ks: tuple) -> int:
+    """The cutoff _squeezed_amplitudes starts from, max(16, 20 e^{2|r|}), once
+    r and ``ks`` pass its checks."""
     if not math.isfinite(r):
         raise InvalidArgumentError("r must be finite")
     if abs(r) > 3.0:
@@ -204,7 +246,7 @@ def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -
     if r == 0.0:  # S(0) = 1, so a^k annihilates it for every k >= 1
         if max(ks) > 0:
             raise DegenerateSubtractionError(f"a^{min(ks)} annihilates the vacuum")
-        return [fock_state(0, 16)]
+        return 16
     cutoff = max(16, math.ceil(20.0 * math.exp(2.0 * abs(r))))
     # a^k S(r)|0> = S(r) (cosh r a - sinh r a^dag)^k |0>, whose core needs
     # k + 1 levels (and psv's frame O(k^2) time): refuse a k the start cannot hold
@@ -212,14 +254,7 @@ def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -
         raise UnsupportedRangeError(
             f"a^{max(ks)} does not fit the {cutoff} levels of the squeezed vacuum"
         )
-
-    def expand(levels: int):
-        pairs = [_squeezed(r, k, levels) for k in ks]
-        return pairs, max(tail for _, tail in pairs)
-
-    # the vectors are built after the growth: at rho >= 1 _squeezed returns zeros
-    pairs, _ = _grow_cutoff(expand, cutoff, tol)
-    return [from_amplitudes(amps, tail_mass=tail) for amps, tail in pairs]
+    return cutoff
 
 
 def _squeezed(r: float, k: int, cutoff: int) -> tuple[np.ndarray, float]:
@@ -304,8 +339,7 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
     f_p[k] = <p+k|D(|alpha|)|p> = (-1)^k <p|D(|alpha|)|p+k> gives column and
     row p; it obeys the Laguerre recurrence in p (the one in m diverges):
         f_{p+1} = [(2p+1+k-x) f_p - sqrt(p(p+k)) f_{p-1}] / sqrt((p+1)(p+1+k)).
-    The mass at or past the cutoff is summed directly over 10|alpha| + 40
-    more levels: 1 - sum |c_n|^2 would stall at roundoff.
+    The mass at or past the cutoff is summed as _displaced_cutoffs says.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -316,8 +350,10 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
     phased = state.amplitudes * np.exp(-1j * theta * np.arange(levels))
     alternating = phased * (-1.0) ** np.arange(levels)
 
+    cutoff, reach = _displaced_cutoffs(levels, mag)
+
     def expand(cutoff: int):
-        size = cutoff + math.ceil(10.0 * mag) + 40
+        size = cutoff + reach
         k = np.arange(size)
         root = np.sqrt(np.arange(size + levels))
         # f_0 is the coherent row of |alpha|: ratios mag/sqrt(j) outward from
@@ -338,10 +374,19 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
         out *= np.exp(1j * theta * k)  # <m|D(alpha)|n> = e^{i(m-n) theta} <m|D(|alpha|)|n>
         return out[:cutoff], float(np.vdot(out[cutoff:], out[cutoff:]).real)
 
-    cutoff = levels - 1 + max(16, math.ceil(x + 10.0 * math.sqrt(x + 1.0)))
     amps, tail = _grow_cutoff(expand, cutoff, tol)
     # the input's own tail adds by Cauchy-Schwarz, as in superpose
     return from_amplitudes(amps, tail_mass=(math.sqrt(tail) + math.sqrt(state.tail_mass)) ** 2)
+
+
+def _displaced_cutoffs(levels: int, mag: float) -> tuple[int, int]:
+    """(start, reach) of the cutoff of D(alpha), |alpha| = mag, applied to a
+    state on ``levels`` levels: the cutoff starts past the bulk of the moved
+    state, and the mass at or past it is summed directly over ``reach`` more
+    levels, 10|alpha| + 40 (1 - sum |c_n|^2 would stall at roundoff)."""
+    x = mag**2
+    return (levels - 1 + max(16, math.ceil(x + 10.0 * math.sqrt(x + 1.0))),
+            math.ceil(10.0 * mag) + 40)
 
 
 def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
@@ -372,7 +417,7 @@ def _ladder_expectations(state: FockVector) -> tuple[complex, float, complex]:
 
 def moments(state: FockVector) -> Moments:
     """First/second quadrature moments and photon number of a pure state."""
-    mean_a, mean_n, mean_a2 = _ladder_expectations(state)
+    mean_a, mean_n, mean_a2 = state._ladder
     mean_x = math.sqrt(2.0) * mean_a.real
     mean_p = math.sqrt(2.0) * mean_a.imag
     # x^2 = (a^2 + a^dag^2 + 2n + 1)/2, p^2 = (-a^2 - a^dag^2 + 2n + 1)/2
@@ -390,7 +435,7 @@ def moments(state: FockVector) -> Moments:
 
 def quadrature_stats(state: FockVector, angle: float) -> tuple[float, float]:
     """Mean and variance of the rotated quadrature x_phi."""
-    mean_a, mean_n, mean_a2 = _ladder_expectations(state)
+    mean_a, mean_n, mean_a2 = state._ladder
     rot = mean_a * np.exp(-1j * angle)
     mean = math.sqrt(2.0) * rot.real
     x2 = (mean_a2 * np.exp(-2j * angle)).real + mean_n + 0.5

@@ -65,13 +65,14 @@ def m_subjective(superposition_n: float, distinguishability: float) -> float:
 def report(two_branch, sign: int, detector: DetectorModel) -> MacroReport:
     """MacroReport for one superposition of a two-branch state.
 
-    N and <n> are those of the chosen superposition (b1 + sign*b2); the
-    distinguishability is that of the branch mixture under the detector.
+    N and <n> are those of the chosen superposition (b1 + sign*b2), as the
+    state carries them; the distinguishability is that of the branch
+    mixture under the detector.
     """
     if sign not in (+1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    psi = two_branch.psi_plus if sign == +1 else two_branch.psi_minus
-    n, mean_n = photon_numbers(psi)
+    index = 0 if sign == +1 else 1
+    n, mean_n = two_branch.n_fluct[index], two_branch.mean_n[index]
     dist_bc, dist_kd = both_measures(two_branch.branch_set, detector)
     return MacroReport(
         n_fluct=n,

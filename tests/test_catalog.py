@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.linalg import expm
 
 from macrolens import (
     DetectorModel,
+    both_measures,
     build,
     coherent_state,
     css,
@@ -18,12 +20,15 @@ from macrolens import (
     psv,
     scaled_cutoffs,
 )
+from macrolens import catalog, fock
 from macrolens.catalog import FAMILIES, PARAM_NAMES
 from macrolens.errors import (
     DegenerateSubtractionError,
     InvalidArgumentError,
     UnsupportedRangeError,
 )
+from macrolens.macroscopicity import photon_numbers
+from macrolens.measurement import pnrd_pmfs
 
 
 class TestCss:
@@ -190,3 +195,79 @@ class TestBuild:
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             build("ghz", alpha=1.0)
+
+
+_STATES = [
+    *(partial(css, alpha) for alpha in (0.05, 0.7, 1.5, 4.0)),
+    *(partial(dfs, alpha) for alpha in (0.0, 0.3, 2.0, 4.0)),
+    *(partial(psv, r, m) for r in (0.05, 1.0, 2.5) for m in (1, 2, 5)),
+]
+
+
+class TestFromTheFrame:
+    """N, <n> and the photon-count rows are read from each family's frame in
+    closed form; the Fock branches and psi_pm are built on first read."""
+
+    @pytest.mark.parametrize("make", _STATES)
+    def test_photon_numbers_match_the_fock_path(self, make):
+        with scaled_cutoffs(2):
+            state = make()
+            for k, psi in enumerate((state.psi_plus, state.psi_minus)):
+                n, mean_n = photon_numbers(psi)
+                assert abs(state.n_fluct[k] - n) <= 1e-12 * max(1.0, n)
+                assert abs(state.mean_n[k] - mean_n) <= 1e-12 * max(1.0, mean_n)
+
+    def test_dfs_plus_is_classical(self):
+        # psi_+ = D(alpha)|0>: its N is 0 exactly, not the Fock path's roundoff
+        assert [dfs(alpha).n_fluct[0] for alpha in (0.0, 1.3, 4.0)] == [0.0] * 3
+
+    @pytest.mark.parametrize("make", _STATES)
+    def test_count_rows_match_the_branches(self, make):
+        branch_set = make().branch_set
+        counts = branch_set.counts
+        assert counts.shape[1] == max(b.cutoff for b in branch_set.branches)
+        assert np.abs(counts - pnrd_pmfs(branch_set.branches)).max() <= 1e-13
+        assert not counts.flags.writeable
+
+    @pytest.mark.parametrize("make", [s for s in _STATES if s.func is not dfs])
+    def test_css_and_psv_rows_are_twins(self, make):
+        # one row, so blur_pmfs blurs it once for both branches
+        counts = make().branch_set.counts
+        assert np.array_equal(counts[0], counts[1])
+
+    @pytest.mark.parametrize("make", [partial(css, 1.5), partial(dfs, 2.0), partial(psv, 1.0, 2)])
+    def test_doubled_cutoffs_lengthen_the_count_rows(self, make):
+        # so acceptance criterion 10 still doubles every family's photon counting
+        with scaled_cutoffs(2):
+            doubled = make().branch_set.counts
+        assert doubled.shape[1] == 2 * make().branch_set.counts.shape[1]
+
+    def test_deferred_builds_keep_the_scale_of_construction(self):
+        with scaled_cutoffs(2):
+            state = dfs(2.0)
+        assert state.psi_minus.cutoff == 2 * dfs(2.0).psi_minus.cutoff
+
+    def test_deferred_builds_keep_the_tolerance_of_construction(self, monkeypatch):
+        # at r = 2.5 the 2969 start levels meet 1e-6 for a^4 S|0> and a^5 S|0>,
+        # but not the default 1e-12
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", "1e-6")
+        state = psv(2.5, 4)
+        monkeypatch.delenv("MACROLENS_TAIL_TOL")
+        assert state.branch_set.counts.shape[1] == state.branch_set.branches[0].cutoff == 2969
+        assert psv(2.5, 4).branch_set.counts.shape[1] == 5938
+
+    @pytest.mark.parametrize("family, params", [
+        ("css", {"alpha": 1.5}), ("dfs", {"alpha": 2.0}), ("psv", {"r": 1.0, "m": 2}),
+    ])
+    def test_homodyne_builds_no_fock_vector(self, monkeypatch, family, params):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fock branch was built")
+
+        for owner in (fock, catalog):
+            monkeypatch.setattr(owner, "_displaced", refuse)
+        monkeypatch.setattr(fock, "_squeezed", refuse)
+        state = build(family, **params)
+        assert state.n_fluct[1] > 0.0 and state.mean_n[1] > 0.0
+        for det in (DetectorModel.homodyne(), DetectorModel.homodyne(0.3, 1.0)):
+            assert 0.0 < both_measures(state.branch_set, det)[1] <= 1.0
+            assert 0.0 < d_kd(state.branch_set, det) <= 1.0

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macrolens.catalog import build
 from macrolens.cli import main
 from macrolens.errors import InvalidArgumentError, MacrolensError
 from macrolens.figures import (
@@ -177,7 +178,31 @@ class TestCompute:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize("family, params", [
+        ("css", {"alpha": 1.5}), ("dfs", {"alpha": 2.0}), ("psv", {"r": 2.5, "m": 4}),
+    ])
+    def test_cutoff_states_the_count_rows(self, family, params):
+        # only photon counting reads a truncated basis: homodyne D reads the
+        # frame and N is in closed form
+        rows = build(family, **params).branch_set.counts
+        assert compute(family, params, "pnrd", 1.0).metadata["cutoff"] == rows.shape[1]
+        assert "cutoff" not in compute(family, params, "homodyne", 1.0).metadata
+
+
 class TestFigures:
+    def test_max_cutoff_only_where_counts_were_read(self):
+        assert "max_cutoff" in run_figure(1, steps=21).metadata  # the Wigner reads psi_minus
+        for fig in (2, 3, 4, 7, 8):
+            assert run_figure(fig, steps=3).metadata["max_cutoff"] > 0
+        for fig in (5, 6):
+            assert "max_cutoff" not in run_figure(fig, steps=3).metadata
+        homodyne = parse_sweep_config(CONFIG)
+        assert "max_cutoff" not in sweep(homodyne).metadata
+        pnrd = parse_sweep_config(CONFIG.replace("detector = homodyne", "detector = pnrd"))
+        assert sweep(pnrd).metadata["max_cutoff"] == max(
+            build("css", alpha=alpha).branch_set.counts.shape[1] for alpha in (0.2, 1.4)
+        )
+
     def test_aliases_match_ids(self):
         by_alias = run_figure("fig-css", steps=5)
         by_id = run_figure(2, steps=5)
@@ -409,6 +434,22 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith(f"macrolens-error code={code} detail=")
 
+    @pytest.mark.parametrize("r, m, code", [
+        ("0", "1", "degenerate-subtraction"),
+        ("0.5", "100", "unsupported-range"),  # a^101 does not fit the 55 start levels
+    ])
+    def test_psv_homodyne_refusals(self, capsys, r, m, code):
+        # homodyne reads the frame, not the Fock branches, and still refuses
+        # what the branches would
+        rc = main([
+            "compute", "--family", "psv", "--r", r, "--m", m,
+            "--detector", "homodyne", "--sigma", "0",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"macrolens-error code={code} detail=")
+
     def test_parser_reuse_keeps_no_state(self, capsys):
         psv = ["compute", "--family", "psv", "--r", "0.5", "--detector", "homodyne",
                "--sigma", "0"]
@@ -542,6 +583,19 @@ class TestEnvTolerance:
             "compute", "--family", "dfs", "--alpha", "1.0",
             "--detector", "pnrd", "--sigma", "0",
         ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=invalid-argument detail=")
+
+    @pytest.mark.parametrize("family, param", [
+        ("css", "--alpha"), ("dfs", "--alpha"), ("psv", "--r"),
+    ])
+    def test_bad_tolerance_reaches_homodyne(self, monkeypatch, capsys, family, param):
+        # homodyne builds no Fock branch, so the catalog checks the tolerance itself
+        monkeypatch.setenv("MACROLENS_TAIL_TOL", "abc")
+        rc = main(["compute", "--family", family, param, "1.0", "--detector", "homodyne",
+                   "--sigma", "0"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
