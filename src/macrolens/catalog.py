@@ -81,7 +81,7 @@ def _two_branch(family: str, params: dict, frame, branches, counts,
     return TwoBranchState(branch_set, family, params, n_fluct, mean_n)
 
 
-def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
+def css(alpha: float) -> TwoBranchState:
     """Coherent state superposition: branches |alpha> and |-alpha>.
 
     |+-alpha> = D(+-alpha)|0> is the vacuum moved to x = +-sqrt(2) alpha, so
@@ -94,7 +94,7 @@ def css(alpha: float, tail_tolerance: float | None = None) -> TwoBranchState:
     alpha = float(alpha)
     if not (0.0 < alpha <= 4.0):
         raise UnsupportedRangeError(f"css requires 0 < alpha <= 4, got {alpha}")
-    tol = _check_tail_tolerance(tail_tolerance)
+    tol = _check_tail_tolerance()
     shift = math.sqrt(2.0) * alpha
     x = alpha * alpha
     # as x -> 0 the odd cat tends to |1>, and x / tanh(x) to 1

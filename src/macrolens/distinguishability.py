@@ -88,7 +88,8 @@ class BranchSet:
     branches, so a copy with new branches needs new counts or None too.
     The table is checked and made read-only on first read.  ``branches``
     and ``counts`` may each be a function of no arguments, called on the
-    first read of the attribute: branches given so need a frame and counts.
+    first read of the attribute, and checked then as given ones are at
+    construction: branches given so need a frame and counts.
     """
 
     coefficients: np.ndarray
@@ -104,16 +105,12 @@ class BranchSet:
         if callable(branches):
             if self.frame is None or counts is None:
                 raise InvalidArgumentError("branches built on demand need a frame and counts")
+            branches = partial(_checked_branches, branches, coeffs.size)
         else:
-            branches = tuple(branches)
-            if len(branches) != coeffs.size:
-                raise InvalidArgumentError("coefficients and branches differ in length")
-            for b in branches:
-                if not isinstance(b, FockVector):
-                    raise InvalidArgumentError("branches must be FockVectors")
-            object.__setattr__(self, "branches", branches)
+            branches = _checked_branches(branches, coeffs.size)
             if counts is None:
                 counts = partial(pnrd_pmfs, branches)
+        object.__setattr__(self, "branches", branches)
         frame = (0.0, branches, (0.0,) * coeffs.size) if self.frame is None else self.frame
         if not (len(frame) == 3 and len(frame[1]) == len(frame[2]) == coeffs.size):
             raise InvalidArgumentError("a frame needs one core and one shift per branch")
@@ -140,6 +137,15 @@ class BranchSet:
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
+
+
+def _checked_branches(branches, size: int) -> tuple:
+    """The branches (or what the function ``branches`` returns) as a tuple,
+    checked to hold ``size`` FockVectors, one per coefficient."""
+    branches = tuple(branches() if callable(branches) else branches)
+    if len(branches) != size or not all(isinstance(b, FockVector) for b in branches):
+        raise InvalidArgumentError(f"need {size} FockVector branches, one per coefficient")
+    return branches
 
 
 def _checked_counts(counts, size: int) -> np.ndarray:

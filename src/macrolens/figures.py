@@ -16,11 +16,12 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .catalog import FAMILIES, PARAM_NAMES, TwoBranchState, build, css
+# css, n_fluct and report are unused here but the perfbench/spans.py tracer
+# still wraps them by name as figures.css, figures.n_fluct and figures.report
+from .catalog import FAMILIES, PARAM_NAMES, build, css
 from .distinguishability import both_measures, d_kd, dfs_kd_closed_form
 from .errors import InvalidArgumentError, UnsupportedRangeError
-from .fock import Ensemble, coherent_state
-# n_fluct is unused here but the perfbench/spans.py tracer still wraps figures.n_fluct
+from .fock import Ensemble, coherent_state, superpose
 from .macroscopicity import n_fluct, report
 from .measurement import PNRD, DetectorModel, wigner
 
@@ -190,21 +191,6 @@ def _base_metadata(**extra) -> dict:
     return meta
 
 
-def _fixed_params(state: TwoBranchState) -> dict:
-    """The state's parameters other than the swept one (psv's m)."""
-    return {k: v for k, v in state.params.items() if k != PARAM_NAMES[state.family]}
-
-
-def _max_cutoff(state: TwoBranchState, detectors) -> int | None:
-    # The count rows are as long as the larger branch's cutoff, and so are
-    # psi_plus and psi_minus.  Homodyne numbers read the frame and N is in
-    # closed form, so no truncated basis enters a point without a photon
-    # counter, and it states no cutoff.
-    if any(det.kind == PNRD for det in detectors):
-        return state.branch_set.counts.shape[1]
-    return None
-
-
 def _cutoff_metadata(key: str, cutoffs) -> dict:
     """{key: the largest cutoff}, or {} when no point read count rows."""
     cutoffs = [c for c in cutoffs if c is not None]
@@ -226,40 +212,50 @@ class _Point:
 
 def _evaluate(family: str, values, detectors, measure, m: int = 1) -> list:
     """Build each state of ``family`` once per parameter value and evaluate
-    ``measure`` (both_measures or d_kd) once per detector; every sweep and
-    figure 2-8 table is a layout of these.  Callers pass the measure as
-    looked up when they run, so a wrapped both_measures is the one called."""
+    ``measure`` (both_measures or d_kd) once per detector; every table but
+    figure 1's is a layout of these.  Callers pass the measure as looked up
+    when they run, so a wrapped both_measures is the one called."""
+    param = PARAM_NAMES[family]
+    # The count rows are as long as the larger branch's cutoff, and so are
+    # psi_plus and psi_minus.  Homodyne numbers read the frame and N is in
+    # closed form, so no truncated basis enters a point without a photon
+    # counter, and it states no cutoff.
+    counts_photons = any(det.kind == PNRD for det in detectors)
     points = []
     for value in values:
-        state = build(family, **{PARAM_NAMES[family]: float(value)}, m=m)
+        state = build(family, **{param: float(value)}, m=m)
         points.append(_Point(
             value=float(value),
             n_fluct=state.n_fluct,
             mean_n=state.mean_n,
             d_by_detector={det: measure(state.branch_set, det) for det in detectors},
-            cutoff=_max_cutoff(state, detectors),
-            fixed_params=_fixed_params(state),
+            cutoff=state.branch_set.counts.shape[1] if counts_photons else None,
+            fixed_params={k: v for k, v in state.params.items() if k != param},
         ))
     return points
 
 
 def compute(family: str, params: dict, detector: str, sigma: float,
             angle: float | None = None, sign: int = -1) -> ResultTable:
-    """One MacroReport rendered as a single table row."""
-    state = build(family, **params)
+    """One catalog state under one detector as a table row: a batch of one."""
+    if family not in FAMILIES:
+        raise InvalidArgumentError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if sign not in (+1, -1):
+        raise InvalidArgumentError("sign must be +1 or -1")
     det = _detector(detector, sigma, angle)
-    rep = report(state, sign, det)
     param = PARAM_NAMES[family]
+    (p,) = _evaluate(family, [params[param]], [det], both_measures, params.get("m", 1))
+    k = 0 if sign == +1 else 1
+    n, (dist_bc, dist_kd) = p.n_fluct[k], p.d_by_detector[det]
     columns = [
         "family", "sign", "detector", "angle", "sigma", param,
         "mean_n", "n_fluct", "d_bc", "d_kd", "m_bc", "m_kd",
     ]
     row = [
-        family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, state.params[param],
-        rep.mean_n, rep.n_fluct, rep.d_bc, rep.d_kd, rep.m_bc, rep.m_kd,
+        family, "+" if sign == +1 else "-", det.kind, det.angle, det.sigma, p.value,
+        p.mean_n[k], n, dist_bc, dist_kd, n * dist_bc, n * dist_kd,
     ]
-    meta = _base_metadata(**_cutoff_metadata("cutoff", [_max_cutoff(state, [det])]),
-                          **_fixed_params(state))
+    meta = _base_metadata(**_cutoff_metadata("cutoff", [p.cutoff]), **p.fixed_params)
     return ResultTable(columns, [row], meta)
 
 
@@ -302,14 +298,11 @@ def _figure_wigner(steps: int) -> ResultTable:
     alpha = 1.5
     # Wigner values are amplitude-level quantities: the truncation tail must
     # sit below ~1e-20 for the mixture to stay non-negative to 1e-10.
-    tol = 1e-16
-    state = css(alpha, tail_tolerance=tol)
-    mixture = Ensemble(
-        ((0.5, coherent_state(alpha, tol)), (0.5, coherent_state(-alpha, tol)))
-    )
-    extent = 5.0
-    sup = wigner(state.psi_minus, (-extent, extent), (-extent, extent), steps)
-    mix = wigner(mixture, (-extent, extent), (-extent, extent), steps)
+    branches = tuple(coherent_state(a, 1e-16) for a in (alpha, -alpha))
+    cat = superpose(*branches, -1)
+    mixture = Ensemble(tuple((0.5, b) for b in branches))
+    window = (-5.0, 5.0)
+    sup, mix = (wigner(s, window, window, steps) for s in (cat, mixture))
     rows = np.column_stack((
         np.repeat(sup.xs, sup.ps.size),
         np.tile(sup.ps, sup.xs.size),
@@ -319,7 +312,7 @@ def _figure_wigner(steps: int) -> ResultTable:
     meta = _base_metadata(
         figure="wigner",
         alpha=alpha,
-        max_cutoff=state.psi_minus.cutoff,
+        max_cutoff=cat.cutoff,
         grid_points=steps,
     )
     return ResultTable(["x", "p", "w_superposition", "w_mixture"], rows, meta)

@@ -301,9 +301,9 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
     """Apply a^m and renormalize.
 
     Returns the normalized state and the factor N_m such that
-    N_m a^m |state> has unit norm.  Its ``tail_mass`` is the input's and does
-    not bound the output's: a^m reweights the levels past the cutoff by about
-    n^m.
+    N_m a^m |state> has unit norm.  Its ``tail_mass`` is 0 when the input's
+    is 0, and 1 otherwise: a^m reweights the levels past the cutoff by about
+    n^m, so no smaller bound follows from the input's tail mass.
     """
     if m < 1:
         raise InvalidArgumentError("m must be a positive integer")
@@ -321,7 +321,7 @@ def subtract_photons(state: FockVector, m: int) -> tuple[FockVector, float]:
     if norm_sq <= 1e-14:
         raise DegenerateSubtractionError(f"a^{m} annihilates the state")
     norm = math.sqrt(norm_sq)
-    return FockVector(work / norm, tail_mass=state.tail_mass), 1.0 / norm
+    return FockVector(work / norm, tail_mass=float(state.tail_mass > 0.0)), 1.0 / norm
 
 
 def displace(state: FockVector, alpha) -> FockVector:

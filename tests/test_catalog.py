@@ -22,6 +22,7 @@ from macrolens import (
 )
 from macrolens import catalog, fock
 from macrolens.catalog import FAMILIES, PARAM_NAMES
+from macrolens.figures import compute, run_figure
 from macrolens.errors import (
     DegenerateSubtractionError,
     InvalidArgumentError,
@@ -271,3 +272,18 @@ class TestFromTheFrame:
         for det in (DetectorModel.homodyne(), DetectorModel.homodyne(0.3, 1.0)):
             assert 0.0 < both_measures(state.branch_set, det)[1] <= 1.0
             assert 0.0 < d_kd(state.branch_set, det) <= 1.0
+
+    def test_tables_build_no_fock_branch(self, monkeypatch):
+        # figures 2-8 and photon-counting points read frames, count rows and
+        # closed forms: no catalog branch is built as a FockVector
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fock branch was built")
+
+        for name in ("_displaced", "coherent_state", "from_amplitudes"):
+            monkeypatch.setattr(catalog, name, refuse)
+        for fig in range(2, 9):
+            assert run_figure(fig, steps=3).rows
+        for family, params in (("css", {"alpha": 1.5}), ("dfs", {"alpha": 2.0}),
+                               ("psv", {"r": 1.0})):
+            for sigma in (0.0, 1.0):
+                assert compute(family, params, "pnrd", sigma).rows

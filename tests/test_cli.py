@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macrolens import figures
 from macrolens.catalog import build
 from macrolens.cli import main
 from macrolens.errors import InvalidArgumentError, MacrolensError
@@ -29,6 +30,14 @@ from macrolens.figures import (
     run_figure,
     sweep,
 )
+from macrolens.fock import coherent_state
+from macrolens.macroscopicity import report
+from macrolens.measurement import DetectorModel
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a path the tables no longer take was called")
+
 
 CONFIG = """\
 # minimal sweep
@@ -169,6 +178,23 @@ class TestCompute:
         assert row["sign"] == "-"
         assert row["m_kd"] == pytest.approx(row["n_fluct"] * row["d_kd"], abs=1e-12)
 
+    @pytest.mark.parametrize("detector", ["homodyne", "pnrd"])
+    def test_batch_of_one(self, monkeypatch, detector):
+        # compute lays out the one point the table evaluator returns, not a
+        # MacroReport, and its row keeps the report's bits
+        monkeypatch.setattr(figures, "report", _refuse)
+        state, det = build("psv", r=1.0, m=2), DetectorModel(detector, sigma=1.0)
+        for sign, tag in ((+1, "+"), (-1, "-")):
+            table = compute("psv", {"r": 1.0, "m": 2}, detector, 1.0, sign=sign)
+            rep = report(state, sign, det)
+            assert table.rows == [[
+                "psv", tag, detector, 0.0, 1.0, 1.0, rep.mean_n, rep.n_fluct,
+                rep.d_bc, rep.d_kd, rep.m_bc, rep.m_kd,
+            ]]
+            assert table.metadata["m"] == 2
+        with pytest.raises(InvalidArgumentError, match="sign must be"):
+            compute("css", {"alpha": 1.0}, "pnrd", 0.0, sign=0)
+
     @pytest.mark.parametrize("family", ["css", "dfs"])
     def test_m_ignored_outside_psv(self, family, capsys):
         # only psv subtracts photons; css and dfs ignore --m, whatever its value
@@ -190,6 +216,13 @@ class TestCompute:
 
 
 class TestFigures:
+    def test_figure1_builds_its_cat_once(self, monkeypatch):
+        # the cat and the mixture share one pair of coherent states; no
+        # catalog state is built next to them
+        monkeypatch.setattr(figures, "css", _refuse)
+        table = run_figure(1, steps=21)
+        assert table.metadata["max_cutoff"] == coherent_state(1.5, 1e-16).cutoff
+
     def test_max_cutoff_only_where_counts_were_read(self):
         assert "max_cutoff" in run_figure(1, steps=21).metadata  # the Wigner reads psi_minus
         for fig in (2, 3, 4, 7, 8):
@@ -511,9 +544,10 @@ class TestImports:
         # perfbench/spans.py wraps module attributes by name and fails when
         # one of them is gone; it patches modules, so it runs in a subprocess,
         # imported as the benchmark's traced worker imports it, and then
-        # traces one homodyne and one photon-counting point and two figures.
+        # traces one homodyne and one photon-counting point and three figures.
         # Figure 2 must reach the wrapped figures.both_measures: figures look
-        # their measure up when they run, not when they are defined.
+        # their measure up when they run, not when they are defined.  Figure 1
+        # must reach the wrapped figures.wigner.
         perfbench = os.path.join(os.path.dirname(_package_path()), "perfbench")
         code = "\n".join([
             "from spans import Tracer",
@@ -525,10 +559,11 @@ class TestImports:
             "assert cli.main(point + ['homodyne', '--angle', '0.3', '--sigma', '0']) == 0",
             "assert cli.main(point + ['pnrd', '--sigma', '1']) == 0",
             "assert tracer.spans",
-            "for fig in ('2', '5'):",
+            "for fig, steps in (('1', '21'), ('2', '3'), ('5', '3')):",
             "    tracer.begin_op('figure ' + fig)",
-            "    assert cli.main(['figure', fig, '--steps', '3']) == 0",
+            "    assert cli.main(['figure', fig, '--steps', steps]) == 0",
             "names = {(span['op'], span['name']) for span in tracer.spans}",
+            "assert ('figure 1', 'measurement.wigner') in names",
             "assert ('figure 2', 'distinguishability.both_measures') in names",
             "assert ('figure 5', 'figures.run_figure') in names",
         ])

@@ -173,6 +173,17 @@ class TestBranchSet:
         assert lazy.branches is state.branch_set.branches
         assert np.array_equal(lazy.counts, state.branch_set.counts)
 
+    @pytest.mark.parametrize("make", [
+        lambda: (fock_state(0, 2),),  # one branch for two coefficients
+        lambda: (fock_state(0, 2), [1.0, 0.0]),
+    ])
+    def test_branches_on_demand_checked_on_first_read(self, make):
+        # what the function returns is checked as given branches are
+        branch_set = dfs(1.0).branch_set
+        lazy = BranchSet(branch_set.coefficients, make, branch_set.frame, branch_set.counts)
+        with pytest.raises(InvalidArgumentError):
+            lazy.branches
+
 
 class TestDistanceFunctionals:
     def test_identical_distributions(self):

@@ -219,6 +219,12 @@ class TestSubtractPhotons:
         with pytest.raises(DegenerateSubtractionError):
             subtract_photons(fock_state(0, 4), 1)
 
+    def test_tail_mass_bound(self):
+        # a^m reweights the levels past the cutoff by about n^m, so only an
+        # input without a tail bounds the output's
+        assert subtract_photons(squeezed_vacuum(1.0), 1)[0].tail_mass == 1.0
+        assert subtract_photons(fock_state(1, 4), 1)[0].tail_mass == 0.0
+
     def test_rejects_nonpositive_m(self):
         with pytest.raises(InvalidArgumentError):
             subtract_photons(fock_state(1, 4), 0)

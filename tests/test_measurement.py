@@ -396,14 +396,13 @@ class TestWigner:
             wigner(coherent_state(3.0), (-1, 1), (-1, 1), 64)
 
     def test_figure1_fields_match_closed_forms(self):
-        # cat (|a> - |-a>) and 50/50 mixture at a = 1.5 on figure 1's grid,
-        # against their closed forms at 40 digits
+        # cat (|a> - |-a>) and 50/50 mixture at a = 1.5, built as figure 1
+        # builds them, on its grid, against their closed forms at 40 digits
         mp = pytest.importorskip("mpmath")
         alpha, tol = 1.5, 1e-16
-        cat = css(alpha, tail_tolerance=tol).psi_minus
-        mix = Ensemble(
-            ((0.5, coherent_state(alpha, tol)), (0.5, coherent_state(-alpha, tol)))
-        )
+        branches = (coherent_state(alpha, tol), coherent_state(-alpha, tol))
+        cat = superpose(*branches, -1)
+        mix = Ensemble(tuple((0.5, b) for b in branches))
         w_cat = wigner(cat, (-5, 5), (-5, 5), 81)
         w_mix = wigner(mix, (-5, 5), (-5, 5), 81)
         with mp.workdps(40):
