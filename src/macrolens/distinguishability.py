@@ -178,20 +178,40 @@ def _integral(grid):
     return integrate
 
 
+def _pairs(rows: np.ndarray, weights) -> list:
+    """The (P_k, Q_k) pairs of the B x G table whose integrals the measures
+    weight, Q_k being the row of the complement mixture of branch k: the
+    weight-average of the other rows, one product with _complement_weights.
+
+    Two branches give the one pair (P_0, P_1): each one's complement is the
+    other (_complement_weights is [[0, 1], [1, 0]] for any two nonzero
+    weights), and every integrand here is symmetric in P and Q bit for bit,
+    as |a - b| = |b - a| and sqrt(ab) = sqrt(ba) in IEEE arithmetic."""
+    if len(rows) == 2:
+        return [tuple(rows)]
+    return list(zip(rows, _complement_weights(weights) @ rows))
+
+
+def _weighted(weights, integrals: list) -> float:
+    """sum_k w_k I_k, where a pair set's one integral serves both branches."""
+    if len(integrals) < len(weights):
+        integrals = integrals * 2
+    return float(np.sum(weights * integrals))
+
+
+def _l1(diffs, integrate) -> list:
+    # one row at a time, so the integrands and their temporaries stay 1 x G
+    return [integrate(np.abs(d)) for d in diffs]
+
+
 def _overlap_and_kd(rows: np.ndarray, grid, weights) -> tuple[float, float]:
     """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) of the B x G table of
-    densities on ``grid``, or of probabilities when grid is None.
-
-    Q_k, the distribution of the complement mixture of branch k, is the
-    weight-average of the other rows: one product with _complement_weights.
-    """
+    densities on ``grid``, or of probabilities when grid is None (see _pairs)."""
     integrate = _integral(grid)
-    complements = _complement_weights(weights) @ rows
-    # one row at a time, so the integrands and their temporaries stay 1 x G
-    pairs = list(zip(rows, complements))
-    l1 = np.array([integrate(np.abs(p - q)) for p, q in pairs])
-    overlap = np.array([integrate(np.sqrt(p * q)) for p, q in pairs])
-    return float(np.sum(weights * overlap)), float(np.sum(weights * 0.5 * l1))
+    pairs = _pairs(rows, weights)
+    overlap = [integrate(np.sqrt(p * q)) for p, q in pairs]
+    l1 = _l1((p - q for p, q in pairs), integrate)
+    return _weighted(weights, overlap), _weighted(weights * 0.5, l1)
 
 
 def _clamp01(value: float, name: str) -> float:
@@ -241,24 +261,27 @@ def d_bc(branch_set: BranchSet, detector: DetectorModel) -> float:
 
 
 def d_kd(branch_set: BranchSet, detector: DetectorModel) -> float:
-    """Kolmogorov-based distinguishability of the branch mixture.
+    """Kolmogorov-based distinguishability of the branch mixture: the L1 sums
+    of both_measures' table alone.
 
     Blurred homodyne detection checks the unblurred table once and blurs its
     differences P_k - Q_k, not its rows: one FFT product for the whole table
     (see measurement.blur_differences), as D_KD reads no square root of a
-    tail.  Every other detector takes both_measures' table.
+    tail.  Two branches blur P_0 - P_1 alone: the other difference is its
+    negation, which blurs to the negated row bit for bit.
     """
-    if detector.kind != HOMODYNE or detector.sigma == 0.0:
-        return both_measures(branch_set, detector)[1]
-    rows, grid = _homodyne_rows(branch_set, detector)
-    rows = checked_rows(rows, grid)
     weights = branch_set.weights
-    diffs, grid = blur_differences(
-        rows - _complement_weights(weights) @ rows, grid, detector.sigma
-    )
-    integrate = _integral(grid)
-    l1 = np.array([integrate(np.abs(d)) for d in diffs])
-    return _clamp01(float(np.sum(weights * 0.5 * l1)), "d_kd")
+    if detector.kind != HOMODYNE or detector.sigma == 0.0:
+        rows, grid = branch_distributions(branch_set, detector)
+        diffs = (p - q for p, q in _pairs(rows, weights))
+    else:
+        rows, grid = _homodyne_rows(branch_set, detector)
+        rows = checked_rows(rows, grid)
+        diffs, grid = blur_differences(
+            np.array([p - q for p, q in _pairs(rows, weights)]), grid, detector.sigma
+        )
+    kd = _weighted(weights * 0.5, _l1(diffs, _integral(grid)))
+    return _clamp01(kd, "d_kd")
 
 
 def dfs_kd_closed_form(alpha: float) -> float:

@@ -49,6 +49,15 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _spec(kind: type) -> str:
+    """The %-format that renders a value of type ``kind`` as _fmt does."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.12g"
+
+
 @dataclass
 class ResultTable:
     """Rectangular table of results plus an audit metadata block."""
@@ -65,8 +74,12 @@ class ResultTable:
     def to_csv(self) -> str:
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
+        formats = {}  # the cells' types -> the row's format
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join(map(_spec, kinds))
+            lines.append(formats[kinds] % tuple(row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

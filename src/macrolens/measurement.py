@@ -190,10 +190,11 @@ def _hermite_blocks(xs: np.ndarray, n_max: int):
     gauss_log = -0.5 * xs * xs
     prev = np.zeros_like(xs)
     cur = np.full_like(xs, math.pi ** -0.25)
-    expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
-    factor = np.exp(expo + gauss_log)  # changes only when expo does
+    factor = np.exp(gauss_log)  # changes only when a rescale fires
     rescale = 120.0 * math.log(10.0)
     scan = np.abs(xs).max(initial=0.0) >= _UNSCALED_REACH  # else no rescale can fire
+    if scan:
+        expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
     for start in range(0, n_max + 1, _HERMITE_BLOCK):
         levels = range(start, min(start + _HERMITE_BLOCK, n_max + 1))
         out = np.empty((len(levels), xs.size))
@@ -231,15 +232,27 @@ def hermite_functions(x, n_max: int):
 
 
 def _waves(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_n a_kn psi_n(xs) for each row k of a complex amplitude table: one
-    Hermite recurrence and one real matrix product per block of levels, of
-    the real rows stacked over the imaginary ones."""
+    """sum_n a_kn psi_n(xs) for each row k of an amplitude table: one Hermite
+    recurrence and one real matrix product per block of levels, of the real
+    rows stacked over the imaginary ones.  A table with no imaginary part
+    gives real rows, from its real rows alone; one row is multiplied with a
+    zero row under it, since BLAS rounds a one-row product (gemv) otherwise
+    than a table (gemm)."""
     b = amplitudes.shape[0]
-    coefficients = np.concatenate([amplitudes.real, amplitudes.imag])
-    out = np.zeros((2 * b, xs.size))
+    real = not amplitudes.imag.any()
+    if real:
+        coefficients = amplitudes.real if b > 1 else np.pad(amplitudes.real, ((0, 1), (0, 0)))
+    else:
+        coefficients = np.concatenate([amplitudes.real, amplitudes.imag])
+    out = np.zeros((coefficients.shape[0], xs.size))
     for levels, psi in _hermite_blocks(xs, amplitudes.shape[1] - 1):
         out += coefficients[:, levels] @ psi
-    return out[:b] + 1j * out[b:]
+    return out[:b] if real else out[:b] + 1j * out[b:]
+
+
+def _density(waves: np.ndarray) -> np.ndarray:
+    """|psi|^2 of real or complex wave rows."""
+    return waves * waves if waves.dtype.kind == "f" else waves.real**2 + waves.imag**2
 
 
 def _check_grid(lo: float, hi: float) -> None:
@@ -293,24 +306,32 @@ def frame_pdfs(stretch: float, cores, shifts, angle: float, grid) -> np.ndarray:
     e^r.  Their unitary U maps x_phi to lam x_theta + s_k cos(phi), with
     lam e^{i theta} = e^r cos(phi) + i e^{-r} sin(phi), so row k is
     |sum_n c_kn e^{-i n theta} psi_n((x - s_k cos(phi)) / lam)|^2 / lam: one
-    Hermite table of the cores' levels, over the distinct shifted, shrunk
-    copies of the grid.  Stretch 0 and shifts 0 read the cores themselves.
-    The rows are unchecked: checked_rows checks the finished table."""
+    Hermite table of the cores' levels over the shifted, shrunk copies of the
+    grid.  Each distinct core object is expanded once, over only the copies
+    its rows read; cores reading the same copies share one table.  Stretch 0
+    and shifts 0 read the cores themselves.  The rows are unchecked:
+    checked_rows checks the finished table."""
     _require_rows(cores)
     grid_min, grid_max, n_points = grid
     lam, theta = _frame_rotation(stretch, angle)
     moved = [s * math.cos(angle) for s in shifts]
-    offsets = sorted(set(moved))
-    _check_grid((grid_min - offsets[-1]) / lam, (grid_max - offsets[0]) / lam)
-    xs = np.concatenate([
-        np.linspace((grid_min - o) / lam, (grid_max - o) / lam, n_points) for o in offsets
-    ])
-    amplitudes = _padded_amplitudes(cores)
-    rotated = np.exp(-1j * np.arange(amplitudes.shape[1]) * theta) * amplitudes
-    # one table over every copy; core k keeps only its own copy's columns
-    waves = _waves(rotated, xs)
-    rows = (waves.real**2 + waves.imag**2).reshape(len(cores), len(offsets), n_points)
-    return rows[range(len(cores)), [offsets.index(o) for o in moved]] / lam
+    _check_grid((grid_min - max(moved)) / lam, (grid_max - min(moved)) / lam)
+    copies = {}  # id of a distinct core -> (core, the offsets its rows read)
+    for core, offset in zip(cores, moved):
+        copies.setdefault(id(core), (core, set()))[1].add(offset)
+    tables = {}  # sorted offsets -> the distinct cores reading them
+    for core, offsets in copies.values():
+        tables.setdefault(tuple(sorted(offsets)), []).append(core)
+    rows = {}  # (id of a core, offset) -> density row
+    for offsets, group in tables.items():
+        xs = [np.linspace((grid_min - o) / lam, (grid_max - o) / lam, n_points) for o in offsets]
+        amplitudes = _padded_amplitudes(group)
+        rotated = np.exp(-1j * np.arange(amplitudes.shape[1]) * theta) * amplitudes
+        waves = _waves(rotated, xs[0] if len(xs) == 1 else np.concatenate(xs))
+        density = _density(waves).reshape(len(group), len(offsets), n_points)
+        for core, row in zip(group, density):
+            rows.update(((id(core), o), r) for o, r in zip(offsets, row))
+    return np.array([rows[id(core), o] for core, o in zip(cores, moved)]) / lam
 
 
 def homodyne_pdf(subject, angle: float = 0.0, grid=None) -> Pdf:
@@ -490,7 +511,7 @@ class WignerField:
         return np.trapezoid(self.values, x=self.ps, axis=1)
 
 
-def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:
     """W(x, p) = (1/pi) sum_k w_k int psi_k^*(x + y) psi_k(x - y) e^{2ipy} dy on
     xs × ps (Leonhardt, Measuring the Quantum State of Light (1997), ch. 3), by
     the trapezoid rule over y >= 0: the integrand at -y is the conjugate of the
@@ -499,6 +520,13 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     2(reach - 8 + max|p|), so a y step h <= pi / (reach + max|p|) aliases none
     of them.  h is a whole number of steps of a grid u that divides the x step,
     so every x_i +- y_j lies on u and one Hermite table on u gives every psi_k.
+
+    Returns W and the masses of its x and p marginals within the window.  The
+    x marginal sum_k w_k |psi_k|^2 is read on u; the p marginal on a p grid of
+    step at most h, from the momentum waves sum_n c_kn (-i)^n psi_n(p) of the
+    same Hermite table.  Either step resolves the marginal's frequencies,
+    below 2(reach - 8), so each trapezoid sum is accurate however coarse the
+    grid of W is.
     """
     weights, states = zip(*components)
     cutoff = max(s.cutoff for s in states)
@@ -510,13 +538,25 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     n_y = math.ceil(reach * refine / (stride * dx)) + 1
     margin = (n_y - 1) * stride
     n_u = (xs.size - 1) * refine + 2 * margin + 1
-    if max(min(cutoff, _HERMITE_BLOCK) * n_u, xs.size * n_y) > _MAX_WIGNER_CELLS:
+    n_p = math.ceil((ps[-1] - ps[0]) / h_max) + 1
+    if max(min(cutoff, _HERMITE_BLOCK) * (n_u + n_p), xs.size * n_y) > _MAX_WIGNER_CELLS:
         raise UnsupportedRangeError(
             f"this phase-space grid needs more than {_MAX_WIGNER_CELLS} cells"
-            f" ({n_u} sample points, {n_y} y steps)"
+            f" ({n_u + n_p} sample points, {n_y} y steps)"
         )
     step = dx / refine
-    waves = _waves(_padded_amplitudes(states), xs[0] + step * np.arange(-margin, n_u - margin))
+    amplitudes = _padded_amplitudes(states)
+    turned = amplitudes * np.array([1.0, -1j, -1.0, 1j])[np.arange(cutoff) % 4]
+    p_fine = np.linspace(ps[0], ps[-1], n_p)
+    waves = _waves(
+        np.concatenate([amplitudes, turned]),
+        np.concatenate([xs[0] + step * np.arange(-margin, n_u - margin), p_fine]),
+    )
+    window = slice(margin, margin + refine * (xs.size - 1) + 1)
+    x_mass = sum(w * np.trapezoid(_density(psi[window]), dx=step)
+                 for w, psi in zip(weights, waves[:len(states), :n_u]))
+    p_mass = sum(w * np.trapezoid(_density(psi), dx=p_fine[1] - p_fine[0])
+                 for w, psi in zip(weights, waves[len(states):, n_u:]))
     centre = margin + refine * np.arange(xs.size)[:, None]
     offset = stride * np.arange(n_y)
     products = sum(
@@ -524,7 +564,8 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     )
     products[:, 1:] *= 2.0
     h = stride * step
-    return (h / math.pi) * (products @ np.exp(2j * h * np.outer(np.arange(n_y), ps))).real
+    table = (h / math.pi) * (products @ np.exp(2j * h * np.outer(np.arange(n_y), ps))).real
+    return table, (float(x_mass), float(p_mass))
 
 
 def wigner(subject, x_range=(-5.0, 5.0), p_range=(-5.0, 5.0), n_points: int = 101) -> WignerField:
@@ -534,7 +575,10 @@ def wigner(subject, x_range=(-5.0, 5.0), p_range=(-5.0, 5.0), n_points: int = 10
     the phi=0 quadrature PDF.  W is evaluated as a Fourier integral from one
     Hermite table and one matrix product (see _wigner_table).  Each range must
     be finite with lo < hi; a grid needing more than 2**24 cells raises
-    UnsupportedRangeError.
+    UnsupportedRangeError.  A window whose x or p range misses more than 1e-4
+    of that marginal's mass raises GridCoverageError; a coarse grid over a
+    window that holds the state does not, as each W(x, p) is exact at its
+    point.
     """
     if n_points < 2:
         raise InvalidArgumentError("n_points must be >= 2")
@@ -544,9 +588,10 @@ def wigner(subject, x_range=(-5.0, 5.0), p_range=(-5.0, 5.0), n_points: int = 10
         _check_grid(lo, hi)
     xs = np.linspace(x_range[0], x_range[1], n_points)
     ps = np.linspace(p_range[0], p_range[1], n_points)
-    field = WignerField(xs, ps, _wigner_table(_components(subject), xs, ps))
-    if abs(field.integral() - 1.0) > 1e-4:
+    table, (x_mass, p_mass) = _wigner_table(_components(subject), xs, ps)
+    if max(abs(x_mass - 1.0), abs(p_mass - 1.0)) > 1e-4:
         raise GridCoverageError(
-            f"phase-space grid captures {field.integral()} of the Wigner mass"
+            f"phase-space window captures {x_mass} of the x marginal's mass"
+            f" and {p_mass} of the p marginal's, not 1"
         )
-    return field
+    return WignerField(xs, ps, table)

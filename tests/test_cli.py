@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -76,6 +77,19 @@ class TestResultTable:
     def test_bad_format(self):
         with pytest.raises(InvalidArgumentError):
             ResultTable(["x"], [[1]]).render("yaml")
+
+    def test_rows_render_by_the_cell_rules(self):
+        # one format per row, by each cell's type: str as is, int and
+        # np.integer as str(int(v)), everything else at 12 digits
+        cells = [
+            "css", "", 7, -3, True, 10**30, np.int64(-9), np.uint64(2**64 - 1),
+            0.1 + 0.2, -0.0, math.nan, -math.inf, 1e-300, np.float64(2.0) / 3,
+            np.float32(0.1), np.bool_(True), 5e-324,
+        ]
+        rows = [cells, cells[::-1], [1.5] * len(cells), cells[1:] + ["x"]]
+        table = ResultTable([str(i) for i in range(len(cells))], rows)
+        lines = table.to_csv().splitlines()[1:]
+        assert lines == [",".join(figures._fmt(v) for v in row) for row in rows]
 
 
 class TestSweepConfig:
@@ -235,6 +249,27 @@ class TestFigures:
         assert sweep(pnrd).metadata["max_cutoff"] == max(
             build("css", alpha=alpha).branch_set.counts.shape[1] for alpha in (0.2, 1.4)
         )
+
+    def test_figure1_at_any_steps(self):
+        # a grid too coarse for the cat's fringes still holds its mass
+        for n in range(2, 41):
+            table = run_figure(1, steps=n)
+            assert len(table.rows) == n * n
+
+    def test_figure1_coarse_steps_exit_zero(self, capsys):
+        for n in ("2", "5", "17"):
+            assert main(["figure", "1", "--steps", n]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_wigner_window_missing_mass_diagnostic(self, monkeypatch, capsys):
+        wigner = figures.wigner
+        monkeypatch.setattr(
+            figures, "wigner", lambda s, x_range, p_range, n: wigner(s, (-1, 1), p_range, n)
+        )
+        assert main(["figure", "1", "--steps", "21"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("macrolens-error code=grid-coverage-error detail=")
 
     def test_aliases_match_ids(self):
         by_alias = run_figure("fig-css", steps=5)

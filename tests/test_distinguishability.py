@@ -34,14 +34,17 @@ from macrolens import (
 from macrolens import distinguishability
 from macrolens.distinguishability import _clamp01, branch_distributions
 from macrolens.measurement import (
+    blur_differences,
     blur_pdf,
     blur_pdfs,
     blur_pmf,
     blur_pmfs,
     default_homodyne_grid,
+    checked_rows,
     frame_pdfs,
     pnrd_pmfs,
 )
+from macrolens.catalog import PARAM_NAMES, build
 from macrolens.errors import InvalidArgumentError, MacrolensError
 
 
@@ -283,6 +286,104 @@ class TestOverlapAndKd:
         finally:
             tracemalloc.stop()
         assert peak < (2 * len(rows) + 3) * row_bytes
+
+
+def _unequal_pair():
+    return BranchSet(np.array([0.6, 0.8]), (coherent_state(1.1), coherent_state(-0.4)))
+
+
+_complement_weights = distinguishability._complement_weights
+
+
+def _refuse_complements(weights):
+    if len(weights) == 2:
+        raise AssertionError("a two-branch set formed its complement rows")
+    return _complement_weights(weights)
+
+
+class TestPairRule:
+    """Two branches are each other's complement: one pair is integrated, and
+    blurred homodyne D_KD blurs one difference row, with the bits of the
+    general B-branch path."""
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.36, 0.64]], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("kind", ["densities", "probabilities"])
+    def test_overlap_and_kd_match_the_stacked_oracle(self, weights, kind, monkeypatch):
+        if kind == "densities":
+            rows, grid = np.stack([gaussian_pdf(-0.7, 0.5), gaussian_pdf(1.2, 0.8)]), GAUSSIAN_GRID
+        else:
+            rows, grid = pnrd_pmfs((coherent_state(1.1), coherent_state(-0.4))), None
+        weights = np.abs(np.sqrt(weights)) ** 2
+        expected = stacked_overlap_and_kd(rows, grid, weights)
+        monkeypatch.setattr(distinguishability, "_complement_weights", _refuse_complements)
+        assert distinguishability._overlap_and_kd(rows, grid, weights) == expected
+
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.pnrd(), DetectorModel.pnrd(sigma=1.0),
+        DetectorModel.homodyne(), DetectorModel.homodyne(angle=0.3, sigma=0.5),
+    ], ids=["pnrd", "pnrd-1", "homodyne", "homodyne-0.3-0.5"])
+    @pytest.mark.parametrize("make", [
+        _unequal_pair,
+        lambda: BranchSet(np.sqrt([0.5, 0.25, 0.25]),
+                          (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2))),
+    ], ids=["unequal", "three"])
+    def test_overlap_and_kd_of_branch_tables(self, make, detector):
+        branch_set = make()
+        rows, grid = branch_distributions(branch_set, detector)
+        weights = branch_set.weights
+        got = distinguishability._overlap_and_kd(rows, grid, weights)
+        assert got == stacked_overlap_and_kd(rows, grid, weights)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    @pytest.mark.parametrize("make", [
+        lambda: css(1.5).branch_set, lambda: dfs(2.0).branch_set,
+        lambda: psv(1.0).branch_set, _unequal_pair,
+    ], ids=["css", "dfs", "psv", "unequal"])
+    def test_blurred_kd_matches_blurring_both_differences(self, make, angle):
+        branch_set, det = make(), DetectorModel.homodyne(angle=angle, sigma=0.7)
+        weights = branch_set.weights
+        rows, grid = distinguishability._homodyne_rows(branch_set, det)
+        rows = checked_rows(rows, grid)
+        diffs, wide = blur_differences(rows - _complement_weights(weights) @ rows, grid, 0.7)
+        assert np.array_equal(diffs[1], -diffs[0])
+        integrate = distinguishability._integral(wide)
+        l1 = np.array([integrate(np.abs(d)) for d in diffs])
+        assert d_kd(branch_set, det) == _clamp01(float(np.sum(weights * 0.5 * l1)), "d_kd")
+
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.pnrd(), DetectorModel.pnrd(sigma=1.0),
+        DetectorModel.homodyne(), DetectorModel.homodyne(angle=0.3),
+    ], ids=["pnrd", "pnrd-1", "homodyne", "homodyne-0.3"])
+    @pytest.mark.parametrize("make", [
+        lambda: css(1.5).branch_set, _unequal_pair,
+        lambda: BranchSet(np.sqrt([0.5, 0.25, 0.25]),
+                          (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2))),
+    ], ids=["css", "unequal", "three"])
+    def test_kd_alone_is_both_measures_kd(self, make, detector):
+        # blurred homodyne D_KD blurs by FFT instead (see above)
+        branch_set = make()
+        assert d_kd(branch_set, detector) == both_measures(branch_set, detector)[1]
+
+    @pytest.mark.parametrize("family", ["css", "dfs", "psv"])
+    def test_catalog_points_take_the_pair_and_real_paths(self, family, monkeypatch):
+        # css expands one vacuum over two copies; dfs and psv two cores over one
+        tables = []
+        waves = measurement._waves
+
+        def recording(amplitudes, xs):
+            out = waves(amplitudes, xs)
+            tables.append((amplitudes.shape[0], xs.size, out.dtype))
+            return out
+
+        monkeypatch.setattr(measurement, "_waves", recording)
+        monkeypatch.setattr(distinguishability, "_complement_weights", _refuse_complements)
+        branch_set = build(family, **{PARAM_NAMES[family]: 1.2}).branch_set
+        for det in (DetectorModel.homodyne(), DetectorModel.homodyne(sigma=0.5),
+                    DetectorModel.pnrd(), DetectorModel.pnrd(sigma=1.0)):
+            both_measures(branch_set, det)
+            d_kd(branch_set, det)
+        shape = (1, 2 * 2048) if family == "css" else (2, 2048)
+        assert tables == [(*shape, np.dtype(float))] * 4
 
 
 class TestBranchMeasures:

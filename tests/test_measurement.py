@@ -109,6 +109,22 @@ class TestHermiteFunctions:
         else:
             assert np.max(np.abs(blocked - whole)) < 1e-13 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("levels", (1, 5, _HERMITE_BLOCK + 7))
+    @pytest.mark.parametrize("rows", (1, 2, 3))
+    def test_real_table_gives_the_real_part_of_the_stacked_product(self, rows, levels):
+        rng = np.random.default_rng(3)
+        amplitudes = rng.standard_normal((rows, levels)).astype(complex)
+        xs = np.linspace(-12.0, 12.0, 301)
+        # the stacked real/imaginary product of the table as a complex one
+        stacked = np.zeros((2 * rows, xs.size))
+        coefficients = np.concatenate([amplitudes.real, amplitudes.imag])
+        for block, psi in measurement._hermite_blocks(xs, levels - 1):
+            stacked += coefficients[:, block] @ psi
+        assert not stacked[rows:].any()
+        waves = _waves(amplitudes, xs)
+        assert waves.dtype == np.float64
+        assert np.array_equal(waves, stacked[:rows])
+
     def test_homodyne_holds_one_block_of_levels(self):
         # 2000 levels on 2048 points would be a 33 MB table
         state = fock_state(1, 2000)
@@ -151,6 +167,28 @@ class TestHermiteScan:
         assert hermite_tables_equal(monkeypatch, xs, 2968, 0.0)
         # without the scan the recurrence overflows there
         assert not hermite_tables_equal(monkeypatch, xs, 2968, math.inf)
+
+
+class TestFramePdfs:
+    @pytest.mark.parametrize("angle", (0.0, 0.3))
+    def test_one_core_object_at_two_shifts(self, monkeypatch, angle):
+        core = superpose(fock_state(0, 3), fock_state(2, 3), -1)
+        twin = superpose(fock_state(0, 3), fock_state(2, 3), -1)
+        assert twin is not core and np.array_equal(twin.amplitudes, core.amplitudes)
+        grid = (-9.0, 9.0, 2048)
+        tables = []  # (rows, points) of each expansion
+        waves = measurement._waves
+        monkeypatch.setattr(measurement, "_waves", lambda amplitudes, xs: (
+            tables.append((amplitudes.shape[0], xs.size)) or waves(amplitudes, xs)))
+        apart = frame_pdfs(0.4, [core, twin], (1.5, -1.5), angle, grid)
+        assert tables == [(1, 2048), (1, 2048)]  # each object over its own copy
+        tables.clear()
+        shared = frame_pdfs(0.4, [core, core], (1.5, -1.5), angle, grid)
+        assert tables == [(1, 2 * 2048)]  # one expansion over both copies
+        assert np.array_equal(shared, apart)
+        tables.clear()
+        frame_pdfs(0.4, [core, twin], (1.5, 1.5), angle, grid)
+        assert tables == [(2, 2048)]  # two objects reading one copy share it
 
 
 class TestHomodynePdf:
@@ -394,6 +432,23 @@ class TestWigner:
     def test_grid_coverage(self):
         with pytest.raises(GridCoverageError):
             wigner(coherent_state(3.0), (-1, 1), (-1, 1), 64)
+
+    @pytest.mark.parametrize("x_range, p_range", [
+        ((-1, 1), (-5, 5)), ((-5, 5), (-1, 1)), ((-5, 3), (-5, 5)),
+    ], ids=["x-misses", "p-misses", "one-side-misses"])
+    def test_window_missing_mass_refused(self, x_range, p_range):
+        cat = superpose(coherent_state(1.5, 1e-16), coherent_state(-1.5, 1e-16), -1)
+        with pytest.raises(GridCoverageError):
+            wigner(cat, x_range, p_range, 81)
+
+    @pytest.mark.parametrize("n_points", (2, 3, 5, 17))
+    def test_coarse_grid_over_the_state_accepted(self, n_points):
+        # each cell is exact at its point; a coarse grid cannot resolve the
+        # fringes, but the marginals are integrated finely
+        cat = superpose(coherent_state(1.5, 1e-16), coherent_state(-1.5, 1e-16), -1)
+        coarse = wigner(cat, (-5, 5), (-5, 5), n_points)
+        fine = wigner(cat, (-5, 5), (-5, 5), 4 * (n_points - 1) + 1)
+        assert np.max(np.abs(coarse.values - fine.values[::4, ::4])) < 1e-15
 
     def test_figure1_fields_match_closed_forms(self):
         # cat (|a> - |-a>) and 50/50 mixture at a = 1.5, built as figure 1
