@@ -6,7 +6,8 @@
                       [--sign plus|minus] [--out PATH] [--format csv|json]
     macrolens sweep --config FILE [--out PATH]
 
-The homodyne angle PHI defaults to 0, the x quadrature.
+The homodyne angle PHI defaults to 0, the x quadrature; a pnrd point reads
+no angle and prints 0.
 
 All domain errors, malformed command lines included, exit with status 1
 and a single-line diagnostic of the form
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--r", type=float, default=None)
     comp.add_argument("--m", type=int, default=1)
     comp.add_argument("--detector", required=True, choices=("homodyne", "pnrd"))
-    comp.add_argument("--angle", type=float, default=None,
+    comp.add_argument("--angle", type=float, default=0.0,
                       help="homodyne angle (default: 0, the x quadrature)")
     comp.add_argument("--sigma", type=float, required=True)
     comp.add_argument("--sign", choices=("plus", "minus"), default="minus",

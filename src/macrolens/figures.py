@@ -40,17 +40,12 @@ def _check_steps_bound(steps: int) -> None:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return f"{value:.12g}"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+    return _spec(type(value)) % value
 
 
 def _spec(kind: type) -> str:
-    """The %-format that renders a value of type ``kind`` as _fmt does."""
+    """The %-format of a cell of type ``kind``: text as is, integers in full,
+    anything else at 12 significant digits."""
     if issubclass(kind, str):
         return "%s"
     if issubclass(kind, (int, np.integer)):
@@ -118,7 +113,7 @@ class SweepSpec:
     steps: int
     detector: str
     sigmas: tuple
-    angle: float | None = None
+    angle: float = 0.0
     m: int = 1
     measures: tuple = ALL_MEASURES
     out: str | None = None
@@ -191,13 +186,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
     return SweepSpec(**values)
 
 
-def _detector(kind: str, sigma: float, angle: float | None = None) -> DetectorModel:
-    """Detector of the given kind; homodyne reads x (phi = 0) unless told."""
-    if kind == "pnrd":
-        return DetectorModel.pnrd(sigma=sigma)
-    return DetectorModel(kind, angle=0.0 if angle is None else angle, sigma=sigma)
-
-
 def _base_metadata(**extra) -> dict:
     meta = {"tool_version": __version__, "convention": CONVENTION}
     meta.update(extra)
@@ -249,13 +237,13 @@ def _evaluate(family: str, values, detectors, measure, m: int = 1) -> list:
 
 
 def compute(family: str, params: dict, detector: str, sigma: float,
-            angle: float | None = None, sign: int = -1) -> ResultTable:
+            angle: float = 0.0, sign: int = -1) -> ResultTable:
     """One catalog state under one detector as a table row: a batch of one."""
     if family not in FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if sign not in (+1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
-    det = _detector(detector, sigma, angle)
+    det = DetectorModel(detector, angle=angle, sigma=sigma)
     param = PARAM_NAMES[family]
     (p,) = _evaluate(family, [params[param]], [det], both_measures, params.get("m", 1))
     k = 0 if sign == +1 else 1
@@ -280,7 +268,7 @@ def sweep(spec: SweepSpec) -> ResultTable:
             columns.append(measure)
         else:
             columns.extend([f"{measure}_plus", f"{measure}_minus"])
-    detectors = [_detector(spec.detector, s, spec.angle) for s in spec.sigmas]
+    detectors = [DetectorModel(spec.detector, angle=spec.angle, sigma=s) for s in spec.sigmas]
     points = _evaluate(
         spec.family, np.linspace(spec.start, spec.stop, spec.steps), detectors,
         both_measures, spec.m,
@@ -370,11 +358,11 @@ def _figure_noise(family: str, steps: int) -> ResultTable:
             suffix = f"_{kind}" if len(kinds) > 1 else ""
             columns.append(f"d_kd{suffix}_{param}_{_fmt(v)}")
     points = _evaluate(
-        family, values, [_detector(kind, s) for s in sigmas for kind in kinds], d_kd
+        family, values, [DetectorModel(kind, sigma=s) for s in sigmas for kind in kinds], d_kd
     )
     rows = []
     for sigma in sigmas:
-        dets = [_detector(kind, sigma) for kind in kinds]
+        dets = [DetectorModel(kind, sigma=sigma) for kind in kinds]
         rows.append([sigma, *(p.d_by_detector[det] for p in points for det in dets)])
     meta = _base_metadata(
         figure=f"noise-{family}",
@@ -398,7 +386,7 @@ def _figure_summary(steps: int) -> ResultTable:
         "family", "sign", "detector", "sigma", "param",
         "mean_n", "n_fluct", "d_kd", "m_kd",
     ]
-    detectors = [_detector(kind, s) for kind in ("homodyne", "pnrd") for s in (0.0, 2.0)]
+    detectors = [DetectorModel(kind, sigma=s) for kind in ("homodyne", "pnrd") for s in (0.0, 2.0)]
     rows, cutoffs = [], []
     for family in FAMILIES:
         start, stop = _SUMMARY_RANGES[family]

@@ -52,7 +52,8 @@ _MAX_WIGNER_CELLS = 2**24
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Measurement kind plus Gaussian resolution sigma.
+    """Measurement kind plus Gaussian resolution sigma, and for homodyne
+    detection the angle phi, reduced mod 2 pi (a PNRD stores angle 0).
 
     sigma is in quadrature units for homodyne detection and in
     photon-number units for a PNRD; the two are not interconvertible.
@@ -67,8 +68,10 @@ class DetectorModel:
             raise InvalidArgumentError(f"unknown detector kind {self.kind!r}")
         if not math.isfinite(self.angle):
             raise InvalidArgumentError("angle must be finite")
-        # the quadrature is 2 pi-periodic in phi; the phases e^{-i n phi} need n*phi finite
-        object.__setattr__(self, "angle", math.fmod(self.angle, 2.0 * math.pi))
+        # the quadrature is 2 pi-periodic in phi; the phases e^{-i n phi} need n*phi
+        # finite.  A photon counter reads no angle: it stores 0.
+        angle = math.fmod(self.angle, 2.0 * math.pi) if self.kind == HOMODYNE else 0.0
+        object.__setattr__(self, "angle", angle)
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidArgumentError("sigma must be finite and >= 0")
 
@@ -173,15 +176,6 @@ class Pmf:
     @property
     def cutoff(self) -> int:
         return self.probabilities.size
-
-    @property
-    def support(self) -> np.ndarray:
-        return _support(self.probabilities)
-
-
-def _support(probabilities: np.ndarray) -> np.ndarray:
-    """Outcomes above 1e-16 of the largest probability."""
-    return np.nonzero(probabilities > probabilities.max() * 1e-16)[0]
 
 
 def _hermite_blocks(xs: np.ndarray, n_max: int):
@@ -427,7 +421,8 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
     keys = {}
     twin = [keys.setdefault(row.tobytes(), len(keys)) for row in rows]
     rows = rows[[twin.index(k) for k in range(len(keys))]]
-    supports = [_support(row) for row in rows]
+    # a row's support: the outcomes above 1e-16 of its largest probability
+    supports = [np.nonzero(row > row.max() * 1e-16)[0] for row in rows]
     # The grid covers the effective support only, with a step fixed at
     # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
     lo = -6.0 * sigma
@@ -523,10 +518,11 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:
 
     Returns W and the masses of its x and p marginals within the window.  The
     x marginal sum_k w_k |psi_k|^2 is read on u; the p marginal on a p grid of
-    step at most h, from the momentum waves sum_n c_kn (-i)^n psi_n(p) of the
-    same Hermite table.  Either step resolves the marginal's frequencies,
-    below 2(reach - 8), so each trapezoid sum is accurate however coarse the
-    grid of W is.
+    step at most h, from the momentum waves sum_n c_kn (-i)^n psi_n(p) of a
+    second Hermite table, on that grid.  Either step resolves the marginal's
+    frequencies, below 2(reach - 8), so each trapezoid sum is accurate however
+    coarse the grid of W is.  Real amplitudes give real x waves, so W's
+    products are real.
     """
     weights, states = zip(*components)
     cutoff = max(s.cutoff for s in states)
@@ -548,15 +544,12 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:
     amplitudes = _padded_amplitudes(states)
     turned = amplitudes * np.array([1.0, -1j, -1.0, 1j])[np.arange(cutoff) % 4]
     p_fine = np.linspace(ps[0], ps[-1], n_p)
-    waves = _waves(
-        np.concatenate([amplitudes, turned]),
-        np.concatenate([xs[0] + step * np.arange(-margin, n_u - margin), p_fine]),
-    )
+    waves = _waves(amplitudes, xs[0] + step * np.arange(-margin, n_u - margin))
     window = slice(margin, margin + refine * (xs.size - 1) + 1)
     x_mass = sum(w * np.trapezoid(_density(psi[window]), dx=step)
-                 for w, psi in zip(weights, waves[:len(states), :n_u]))
+                 for w, psi in zip(weights, waves))
     p_mass = sum(w * np.trapezoid(_density(psi), dx=p_fine[1] - p_fine[0])
-                 for w, psi in zip(weights, waves[len(states):, n_u:]))
+                 for w, psi in zip(weights, _waves(turned, p_fine)))
     centre = margin + refine * np.arange(xs.size)[:, None]
     offset = stride * np.arange(n_y)
     products = sum(

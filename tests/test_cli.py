@@ -91,6 +91,24 @@ class TestResultTable:
         lines = table.to_csv().splitlines()[1:]
         assert lines == [",".join(figures._fmt(v) for v in row) for row in rows]
 
+    @pytest.mark.parametrize("value", [
+        "css", "", 0, 7, -3, 123456789012345, 10**30, True, False, np.int64(-9),
+        np.bool_(True), np.bool_(False), 0.1 + 0.2, 123456789012345.0, 0.0, -0.0,
+        math.inf, -math.inf, math.nan, 1e-300, np.float64(2.0) / 3, np.float64(-0.0),
+        np.float32(0.1), np.float32(-0.0),
+    ], ids=repr)
+    def test_fmt_keeps_the_per_type_rules(self, value):
+        def old_fmt(v):
+            if type(v) is float:
+                return f"{v:.12g}"
+            if isinstance(v, str):
+                return v
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return f"{float(v):.12g}"
+
+        assert figures._fmt(value) == old_fmt(value)
+
 
 class TestSweepConfig:
     def test_parse(self):
@@ -98,7 +116,7 @@ class TestSweepConfig:
         assert spec.family == "css"
         assert spec.steps == 31
         assert spec.sigmas == (0.0, 0.5, 1.0)
-        assert spec.angle is None
+        assert spec.angle == 0.0
         assert spec.m == 1
         assert spec.measures == ALL_MEASURES
         assert spec.out is None
@@ -534,6 +552,24 @@ class TestMain:
         assert main(css) == 0
         row = capsys.readouterr().out.splitlines()[-1].split(",")
         assert (row[1], row[3]) == ("-", "0")
+
+    def test_pnrd_ignores_the_angle(self, capsys):
+        dfs = ["compute", "--family", "dfs", "--alpha", "1.2", "--detector", "pnrd",
+               "--sigma", "1"]
+        assert main(dfs) == 0
+        plain = capsys.readouterr().out
+        assert main([*dfs, "--angle", "0.3"]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.splitlines()[-1].split(",")[2:4] == ["pnrd", "0"]
+        assert main([*dfs, "--angle", "nan"]) == 1
+        assert capsys.readouterr().err == (
+            "macrolens-error code=invalid-argument detail=angle must be finite\n")
+
+    def test_homodyne_keeps_a_negative_zero_angle(self, capsys):
+        argv = ["compute", "--family", "dfs", "--alpha", "1.2", "--detector", "homodyne",
+                "--sigma", "1", "--angle", "-0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[2:4] == ["homodyne", "-0"]
 
     def test_missing_config_file(self, capsys):
         rc = main(["sweep", "--config", "/nonexistent.cfg"])

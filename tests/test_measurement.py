@@ -13,6 +13,7 @@ import macrolens
 from macrolens import (
     DetectorModel,
     Ensemble,
+    FockVector,
     Pdf,
     Pmf,
     blur_pdf,
@@ -540,6 +541,44 @@ class TestWigner:
         assert word == "refused"
         assert int(peak) < 1e6
 
+    @pytest.mark.parametrize("subject", ["cat", "figure1-cat", "figure1-mixture", "complex"])
+    def test_one_wave_table_per_grid(self, monkeypatch, subject):
+        # x waves on the refined x grid u and momentum waves on the p grid
+        # come from two tables; the oracle replays the table with the two
+        # quadrants of the one table over [amplitudes; turned] x [u; p_fine]
+        # that W once read them from, as complex rows.  The cat's -1.5 branch
+        # is the +1.5 one under parity, so its amplitudes are real; figure 1's
+        # coherent_state(-1.5) carries imaginary roundoff and stays complex.
+        plus = coherent_state(1.5, 1e-16)
+        minus = FockVector((-1.0) ** np.arange(plus.cutoff) * plus.amplitudes)
+        branches = (plus, coherent_state(-1.5, 1e-16))
+        components = {
+            "cat": [(1.0, superpose(plus, minus, -1))],
+            "figure1-cat": [(1.0, superpose(*branches, -1))],
+            "figure1-mixture": [(0.5, b) for b in branches],
+            "complex": [(1.0, coherent_state(1.0 + 0.7j, 1e-16))],
+        }[subject]
+        xs = ps = np.linspace(-5.0, 5.0, 81)
+        calls = []  # (amplitudes, grid, waves) of each expansion
+        waves = measurement._waves
+        monkeypatch.setattr(measurement, "_waves", lambda amplitudes, grid: (
+            calls.append((amplitudes, grid, waves(amplitudes, grid))) or calls[-1][2]))
+        table, masses = measurement._wigner_table(components, xs, ps)
+        assert len(calls) == 2
+        (amplitudes, u, x_waves), (turned, p_fine, p_waves) = calls
+        n_states = len(components)
+        assert x_waves.shape == (n_states, u.size) and p_waves.shape == (n_states, p_fine.size)
+        assert (p_fine[0], p_fine[-1]) == (ps[0], ps[-1])
+        assert p_waves.dtype == complex
+        assert x_waves.dtype == (float if subject == "cat" else complex)
+        one = waves(np.concatenate([amplitudes, turned]), np.concatenate([u, p_fine]))
+        assert one.dtype == complex
+        quadrants = iter([one[:n_states, :u.size], one[n_states:, u.size:]])
+        monkeypatch.setattr(measurement, "_waves", lambda amplitudes, grid: next(quadrants))
+        old_table, old_masses = measurement._wigner_table(components, xs, ps)
+        assert np.array_equal(table, old_table)
+        assert np.array_equal(masses, old_masses)
+
     def test_complex_coherent_gaussian(self):
         # a complex amplitude pins the sign of p: a mirrored p would fail
         alpha = 1.0 + 0.7j
@@ -589,6 +628,28 @@ class TestDetectorModel:
         hd = DetectorModel.homodyne(angle=0.3, sigma=1.0)
         assert (hd.kind, hd.angle, hd.sigma) == ("homodyne", 0.3, 1.0)
         assert DetectorModel.pnrd().sigma == 0.0
+
+    @pytest.mark.parametrize("angle", (0.3, -0.0, 7.0, -1e308))
+    def test_pnrd_stores_angle_zero(self, angle):
+        # a photon counter reads no angle, so every angle gives one detector
+        det = DetectorModel("pnrd", angle=angle, sigma=2.0)
+        assert det.angle == 0.0 and math.copysign(1.0, det.angle) == 1.0
+        assert det == DetectorModel.pnrd(sigma=2.0)
+        assert hash(det) == hash(DetectorModel.pnrd(sigma=2.0))
+
+    @pytest.mark.parametrize("kind", ("pnrd", "homodyne"))
+    @pytest.mark.parametrize("angle", (math.nan, math.inf, -math.inf))
+    def test_non_finite_angle_refused(self, kind, angle):
+        with pytest.raises(InvalidArgumentError, match="^angle must be finite$") as info:
+            DetectorModel(kind, angle=angle)
+        assert info.value.code == "invalid-argument"
+
+    @pytest.mark.parametrize("angle", (0.3, -0.0, 7.0, -7.0, 1e308))
+    def test_homodyne_angle_is_fmod_two_pi(self, angle):
+        det = DetectorModel("homodyne", angle=angle)
+        reduced = math.fmod(angle, 2.0 * math.pi)
+        assert det.angle == reduced
+        assert math.copysign(1.0, det.angle) == math.copysign(1.0, reduced)
 
     @pytest.mark.filterwarnings("error")
     def test_angle_reduced_mod_two_pi(self):
