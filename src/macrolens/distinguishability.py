@@ -37,6 +37,7 @@ from .measurement import (
     homodyne_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     pnrd_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
     pnrd_pmfs,
+    row_integrals,
 )
 
 log = logging.getLogger(__name__)
@@ -166,52 +167,30 @@ def _complement_weights(weights) -> np.ndarray:
     return mix / mix.sum(axis=1, keepdims=True)
 
 
-def _integral(grid):
-    """The integral of one row over ``grid``: the trapezoid rule, or the sum
-    of probabilities when grid is None."""
-    if grid is None:
-        return np.sum
-    dx = (grid[1] - grid[0]) / (grid[2] - 1)
+def _pairs(rows: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The pair table (P, Q) whose row integrals I_k the measures weight as
+    sum_k w_k I_k: P_k is row k of the B x G table and Q_k the row of the
+    complement mixture of branch k, the weight-average of the other rows,
+    one product with _complement_weights.
 
-    def integrate(y):  # np.trapezoid(y, dx=dx), without its per-call overhead
-        return (dx * (y[1:] + y[:-1]) / 2.0).sum()
-    return integrate
-
-
-def _pairs(rows: np.ndarray, weights) -> list:
-    """The (P_k, Q_k) pairs of the B x G table whose integrals the measures
-    weight, Q_k being the row of the complement mixture of branch k: the
-    weight-average of the other rows, one product with _complement_weights.
-
-    Two branches give the one pair (P_0, P_1): each one's complement is the
-    other (_complement_weights is [[0, 1], [1, 0]] for any two nonzero
-    weights), and every integrand here is symmetric in P and Q bit for bit,
-    as |a - b| = |b - a| and sqrt(ab) = sqrt(ba) in IEEE arithmetic."""
+    Two branches give the one pair (P_0, P_1), as the views rows[:1] and
+    rows[1:], whose one integral broadcasts to both weights: each branch's
+    complement is the other (_complement_weights is [[0, 1], [1, 0]] for
+    any two nonzero weights), and every integrand here is symmetric in P
+    and Q bit for bit, as |a - b| = |b - a| and sqrt(ab) = sqrt(ba) in IEEE
+    arithmetic."""
     if len(rows) == 2:
-        return [tuple(rows)]
-    return list(zip(rows, _complement_weights(weights) @ rows))
-
-
-def _weighted(weights, integrals: list) -> float:
-    """sum_k w_k I_k, where a pair set's one integral serves both branches."""
-    if len(integrals) < len(weights):
-        integrals = integrals * 2
-    return float(np.sum(weights * integrals))
-
-
-def _l1(diffs, integrate) -> list:
-    # one row at a time, so the integrands and their temporaries stay 1 x G
-    return [integrate(np.abs(d)) for d in diffs]
+        return rows[:1], rows[1:]
+    return rows, _complement_weights(weights) @ rows
 
 
 def _overlap_and_kd(rows: np.ndarray, grid, weights) -> tuple[float, float]:
     """(sum_k w_k Omega(P_k, Q_k), sum_k w_k KD(P_k, Q_k)) of the B x G table of
     densities on ``grid``, or of probabilities when grid is None (see _pairs)."""
-    integrate = _integral(grid)
-    pairs = _pairs(rows, weights)
-    overlap = [integrate(np.sqrt(p * q)) for p, q in pairs]
-    l1 = _l1((p - q for p, q in pairs), integrate)
-    return _weighted(weights, overlap), _weighted(weights * 0.5, l1)
+    p, q = _pairs(rows, weights)
+    overlap = float(np.sum(weights * row_integrals(np.sqrt(p * q), grid)))
+    kd = float(np.sum(weights * 0.5 * row_integrals(np.abs(p - q), grid)))
+    return overlap, kd
 
 
 def _clamp01(value: float, name: str) -> float:
@@ -273,14 +252,13 @@ def d_kd(branch_set: BranchSet, detector: DetectorModel) -> float:
     weights = branch_set.weights
     if detector.kind != HOMODYNE or detector.sigma == 0.0:
         rows, grid = branch_distributions(branch_set, detector)
-        diffs = (p - q for p, q in _pairs(rows, weights))
+        p, q = _pairs(rows, weights)
+        diffs = p - q
     else:
         rows, grid = _homodyne_rows(branch_set, detector)
-        rows = checked_rows(rows, grid)
-        diffs, grid = blur_differences(
-            np.array([p - q for p, q in _pairs(rows, weights)]), grid, detector.sigma
-        )
-    kd = _weighted(weights * 0.5, _l1(diffs, _integral(grid)))
+        p, q = _pairs(checked_rows(rows, grid), weights)
+        diffs, grid = blur_differences(p - q, grid, detector.sigma)
+    kd = float(np.sum(weights * 0.5 * row_integrals(np.abs(diffs), grid)))
     return _clamp01(kd, "d_kd")
 
 

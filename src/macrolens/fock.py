@@ -204,14 +204,8 @@ def squeezed_vacuum(r: float, tail_tolerance: float | None = None) -> FockVector
     r > 0 squeezes the x quadrature: var(x) = e^{-2r}/2, var(p) = e^{2r}/2.
     Only even photon numbers are populated.
     """
-    return _squeezed_states(r, (0,), tail_tolerance)[0]
-
-
-def _squeezed_states(r: float, ks: tuple, tail_tolerance: float | None = None) -> list:
-    """The normalized a^k S(r)|0> for each k in ``ks``, as FockVectors on one
-    cutoff (see _squeezed_amplitudes)."""
-    return [from_amplitudes(amps, tail_mass=tail)
-            for amps, tail in _squeezed_amplitudes(r, ks, tail_tolerance)]
+    ((amps, tail),) = _squeezed_amplitudes(r, (0,), tail_tolerance)
+    return from_amplitudes(amps, tail_mass=tail)
 
 
 def _squeezed_amplitudes(r: float, ks: tuple, tail_tolerance: float | None = None) -> list:
@@ -344,10 +338,16 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise InvalidArgumentError("alpha must be finite")
-    mag, x, levels, theta = abs(alpha), abs(alpha) ** 2, state.cutoff, np.angle(alpha)
+    mag, x, levels = abs(alpha), abs(alpha) ** 2, state.cutoff
+    unit = alpha / mag if mag else 1.0
+
+    def phases(size: int) -> np.ndarray:
+        # e^{i n theta} for n < size as powers of e^{i theta}: exactly real for real alpha
+        return np.cumprod(np.concatenate(([1.0 + 0j], np.full(size - 1, unit))))
+
     # e^{-i n theta} c_n, on which the real matrix D(|alpha|) acts; the rows
     # read it with signs (-1)^n, as <p|D(|alpha|)|p+k> = (-1)^k f_p[k]
-    phased = state.amplitudes * np.exp(-1j * theta * np.arange(levels))
+    phased = state.amplitudes * np.conj(phases(levels))
     alternating = phased * (-1.0) ** np.arange(levels)
 
     cutoff, reach = _displaced_cutoffs(levels, mag)
@@ -371,7 +371,7 @@ def _displaced(state: FockVector, alpha, tol: float) -> FockVector:
                              * f_prev) / (root[p] * root[p : p + size]), f
             out[p:] += phased[p] * f[: size - p]
             out[p] += (-1) ** p * (f[1 : levels - p] @ alternating[p + 1 :])
-        out *= np.exp(1j * theta * k)  # <m|D(alpha)|n> = e^{i(m-n) theta} <m|D(|alpha|)|n>
+        out *= phases(size)  # <m|D(alpha)|n> = e^{i(m-n) theta} <m|D(|alpha|)|n>
         return out[:cutoff], float(np.vdot(out[cutoff:], out[cutoff:]).real)
 
     amps, tail = _grow_cutoff(expand, cutoff, tol)

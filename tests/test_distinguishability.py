@@ -273,6 +273,24 @@ class TestOverlapAndKd:
         got = distinguishability._overlap_and_kd(rows, grid, weights)
         assert got == stacked_overlap_and_kd(rows, grid, weights)
 
+    @pytest.mark.parametrize("detector", [
+        DetectorModel.pnrd(), DetectorModel.pnrd(sigma=1.0),
+        DetectorModel.homodyne(), DetectorModel.homodyne(angle=0.3, sigma=0.5),
+    ], ids=["pnrd", "pnrd-1", "homodyne", "homodyne-0.3-0.5"])
+    def test_three_branches_integrate_two_tables(self, detector, monkeypatch):
+        # one call per integrand over the whole pair table, not one per branch
+        branch_set = BranchSet(np.sqrt([0.5, 0.25, 0.25]),
+                               (fock_state(0, 4), fock_state(1, 4), coherent_state(1.2)))
+        rows, grid = branch_distributions(branch_set, detector)
+        weights = branch_set.weights
+        calls = []
+        integrate = distinguishability.row_integrals
+        monkeypatch.setattr(distinguishability, "row_integrals", lambda values, grid: (
+            calls.append(values.shape) or integrate(values, grid)))
+        got = distinguishability._overlap_and_kd(rows, grid, weights)
+        assert calls == [rows.shape, rows.shape]
+        assert got == stacked_overlap_and_kd(rows, grid, weights)
+
     def test_peak_memory_holds_no_b_by_g_integrand(self):
         # the stacked rows and their complements (2 B rows) plus a few 1 x G
         # temporaries; a B x G integrand and its trapezoid sums would add B more
@@ -346,8 +364,7 @@ class TestPairRule:
         rows = checked_rows(rows, grid)
         diffs, wide = blur_differences(rows - _complement_weights(weights) @ rows, grid, 0.7)
         assert np.array_equal(diffs[1], -diffs[0])
-        integrate = distinguishability._integral(wide)
-        l1 = np.array([integrate(np.abs(d)) for d in diffs])
+        l1 = measurement.row_integrals(np.abs(diffs), wide)
         assert d_kd(branch_set, det) == _clamp01(float(np.sum(weights * 0.5 * l1)), "d_kd")
 
     @pytest.mark.parametrize("detector", [

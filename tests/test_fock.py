@@ -98,6 +98,14 @@ class TestCoherentState:
         assert v.tail_mass < tol
         assert v.tail_mass == pytest.approx(poisson.sf(v.cutoff - 1, alpha**2), rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("alpha, tol", [(1.5, 1e-16), (4.0, 1e-12)])
+    def test_negative_alpha_is_the_parity_image(self, alpha, tol):
+        # the phases e^{i n pi} are powers of -1, so no imaginary roundoff
+        plus, minus = coherent_state(alpha, tol), coherent_state(-alpha, tol)
+        assert not minus.amplitudes.imag.any()
+        parity = (-1.0) ** np.arange(plus.cutoff)
+        assert np.array_equal(minus.amplitudes, parity * plus.amplitudes)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             coherent_state(float("nan"))
@@ -159,23 +167,23 @@ class TestSqueezedVacuum:
     def test_subtracted_pair_grows_on_both_tails(self):
         # at 23 levels a^8 S|0> already drops less than 1e-24 but a^7 S|0>
         # does not: the parity of the cutoff decides which one loses a level
-        from macrolens.fock import _squeezed, _squeezed_states
+        from macrolens.fock import _squeezed, _squeezed_amplitudes
 
         assert _squeezed(-0.05, 8, 23)[1] < 1e-24 <= _squeezed(-0.05, 7, 23)[1]
-        u, v = _squeezed_states(-0.05, (7, 8), 1e-24)
-        assert u.cutoff == v.cutoff == 46
-        assert max(u.tail_mass, v.tail_mass) < 1e-24
+        (u, u_tail), (v, v_tail) = _squeezed_amplitudes(-0.05, (7, 8), 1e-24)
+        assert u.size == v.size == 46
+        assert max(u_tail, v_tail) < 1e-24
 
     def test_subtracted_pair_refusals(self):
-        from macrolens.fock import _squeezed_states
+        from macrolens.fock import _squeezed_amplitudes
 
         with pytest.raises(DegenerateSubtractionError):
-            _squeezed_states(0.0, (1, 2))
+            _squeezed_amplitudes(0.0, (1, 2))
         with pytest.raises(UnsupportedRangeError, match="does not fit"):
-            _squeezed_states(-0.5, (100, 101))  # 55 start levels
+            _squeezed_amplitudes(-0.5, (100, 101))  # 55 start levels
         with pytest.raises(UnsupportedRangeError, match="stalls"):
             # every tail is 1 at 2969 and at 5938 levels
-            _squeezed_states(-2.5, (300, 301))
+            _squeezed_amplitudes(-2.5, (300, 301))
 
     def test_tail_falls_below_roundoff(self):
         # the tail is summed directly, so it does not stall near 1e-16

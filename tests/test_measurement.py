@@ -47,6 +47,7 @@ from macrolens.measurement import (
     default_homodyne_grid,
     frame_pdfs,
     pnrd_pmfs,
+    row_integrals,
 )
 
 
@@ -346,6 +347,34 @@ class TestBlurPmf:
         assert peak < 3 * values.nbytes + 2**20
 
 
+class TestRowIntegrals:
+    """The one integration rule: np.trapezoid's own expression with a scalar
+    step, or a row sum for photon counts, bit for bit."""
+
+    @pytest.mark.parametrize("n_points", [64, 2048, 4097])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    def test_equals_trapezoid_and_sum(self, n_rows, n_points):
+        values = np.random.default_rng(n_rows * n_points).random((n_rows, n_points))
+        grid = (-7.3, 11.9, n_points)
+        dx = (grid[1] - grid[0]) / (grid[2] - 1)
+        assert np.array_equal(row_integrals(values, grid), np.trapezoid(values, dx=dx, axis=-1))
+        assert np.array_equal(row_integrals(values, None), values.sum(axis=-1))
+
+    @pytest.mark.parametrize("grid", [(-8.0, 8.0, 256), None], ids=["pdf", "pmf"])
+    def test_table_rows_integrate_as_single_rows(self, grid):
+        table = np.random.default_rng(7).random((3, 256))
+        whole = row_integrals(table, grid)
+        assert all(row_integrals(row, grid) == value for row, value in zip(table, whole))
+
+    def test_pdf_moments_are_trapezoid_sums(self):
+        pdf = homodyne_pdf(coherent_state(0.8 + 0.3j))
+        xs, dx = pdf.xs, pdf.dx
+        assert pdf.integral() == float(np.trapezoid(pdf.values, dx=dx))
+        assert pdf.mean() == float(np.trapezoid(xs * pdf.values, dx=dx))
+        mu = pdf.mean()
+        assert pdf.variance() == float(np.trapezoid((xs - mu) ** 2 * pdf.values, dx=dx))
+
+
 class TestCheckedRows:
     """One check of a whole table makes the checks of Pdf and Pmf on each row."""
 
@@ -547,8 +576,9 @@ class TestWigner:
         # come from two tables; the oracle replays the table with the two
         # quadrants of the one table over [amplitudes; turned] x [u; p_fine]
         # that W once read them from, as complex rows.  The cat's -1.5 branch
-        # is the +1.5 one under parity, so its amplitudes are real; figure 1's
-        # coherent_state(-1.5) carries imaginary roundoff and stays complex.
+        # is the +1.5 one under parity, so its amplitudes are real, and so are
+        # those of figure 1's coherent_state(-1.5): only a complex alpha gives
+        # complex x waves.
         plus = coherent_state(1.5, 1e-16)
         minus = FockVector((-1.0) ** np.arange(plus.cutoff) * plus.amplitudes)
         branches = (plus, coherent_state(-1.5, 1e-16))
@@ -570,7 +600,7 @@ class TestWigner:
         assert x_waves.shape == (n_states, u.size) and p_waves.shape == (n_states, p_fine.size)
         assert (p_fine[0], p_fine[-1]) == (ps[0], ps[-1])
         assert p_waves.dtype == complex
-        assert x_waves.dtype == (float if subject == "cat" else complex)
+        assert x_waves.dtype == (complex if subject == "complex" else float)
         one = waves(np.concatenate([amplitudes, turned]), np.concatenate([u, p_fine]))
         assert one.dtype == complex
         quadrants = iter([one[:n_states, :u.size], one[n_states:, u.size:]])
