@@ -124,9 +124,9 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     a^k S|0> = S (cosh r a + sinh r a^dag)^k |0>, so each branch is also S
     applied to a core on m + 2 levels.  The branch set carries the cores as
     its frame, from which homodyne detection at every angle is evaluated in
-    closed form; N and <n> of psi_pm follow from the cores of u and v (see
-    _subtracted_photons).  u and v share no photon number, so both branches
-    count photons as (|u_n|^2 + |v_n|^2) / 2.
+    closed form; N and <n> of psi_pm come with the cores of u and v (see
+    _cores).  u and v share no photon number, so both branches count
+    photons as (|u_n|^2 + |v_n|^2) / 2.
     """
     r = float(r)
     if not (0.0 <= r <= 2.5):
@@ -135,9 +135,9 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
         raise InvalidArgumentError("m must be a positive integer")
     tol = _check_tail_tolerance()
     _squeezed_start(-r, (m, m + 1))  # refuses r = 0 and an m the start levels cannot hold
-    core_u, core_v = _core(r, m), _core(r, m + 1)
+    (core_u, n_u), (core_v, n_v) = _cores(r, m)
     cores = (superpose(core_u, core_v, +1), superpose(core_u, core_v, -1))
-    n = tuple(_subtracted_photons(r, core) for core in (core_u, core_v))
+    n = (n_u, n_v)
     # the amplitudes of u and v, grown once for the branches and the count rows
     subtracted = cache(lambda: _squeezed_amplitudes(-r, (m, m + 1), tol))
 
@@ -153,27 +153,26 @@ def psv(r: float, m: int = 1) -> TwoBranchState:
     return _two_branch("psv", {"r": r, "m": m}, (r, cores, (0.0, 0.0)), branches, counts, n, n)
 
 
-def _core(r: float, m: int) -> FockVector:
-    """The normalized core (cosh r a + sinh r a^dag)^m |0> on m + 1 levels,
-    so that a^m S|0> = S core for S = S(-r) as psv builds it.  The core is
-    rescaled at each step."""
-    k = np.sqrt(np.arange(1.0, m + 1))
-    core = np.zeros(m + 1)
-    core[0] = 1.0
+def _cores(r: float, m: int) -> list:
+    """[(u, N_u), (v, N_v)]: the normalized cores A^k |0> of k = m and m + 1,
+    on k + 1 levels, with A = S^dag a S = cosh r a + sinh r a^dag for
+    S = S(-r) as psv builds it, so that a^k S|0> = S core.  <n> of S core
+    is |A core|^2, read off the walk's next step; it is also N, as a core
+    holds one photon-number parity and so <a> = 0.  One walk of A from |0>
+    on m + 3 levels gives both, rescaled at each step."""
+    k = np.sqrt(np.arange(1.0, m + 3))
+    step = np.zeros(m + 3)
+    step[0] = 1.0
     c, s = math.cosh(r), math.sinh(r)
-    for _ in range(m):
-        core = c * np.append(k * core[1:], 0.0) + s * np.append(0.0, k * core[:-1])
-        core /= np.abs(core).max()
-    return FockVector(core / math.sqrt(core @ core))
-
-
-def _subtracted_photons(r: float, core: FockVector) -> float:
-    """<n> of S core for S = S(-r), from the core's moments: S^dag a S =
-    cosh r a + sinh r a^dag gives c^2 <n> + s^2 (<n> + 1) + 2 c s Re<a^2>.
-    It is also N: a core holds one photon-number parity, so <a> = 0."""
-    _, mean_n, mean_a2 = core._ladder
-    c, s = math.cosh(r), math.sinh(r)
-    return c * c * mean_n + s * s * (mean_n + 1.0) + 2.0 * c * s * mean_a2.real
+    cores = []
+    for n in range(m + 2):
+        nxt = c * np.append(k * step[1:], 0.0) + s * np.append(0.0, k * step[:-1])
+        if n >= m:
+            core = step[:n + 1]
+            norm = core @ core
+            cores.append((FockVector(core / math.sqrt(norm)), float(nxt @ nxt / norm)))
+        step = nxt / np.abs(nxt).max()
+    return cores
 
 
 def dfs(alpha: float) -> TwoBranchState:

@@ -125,7 +125,13 @@ class FockVector:
     @cached_property
     def _ladder(self) -> tuple[complex, float, complex]:
         """(<a>, <n>, <a^2>), evaluated once per vector."""
-        return _ladder_expectations(self)
+        c = self.amplitudes
+        n = np.arange(c.size)
+        mean_n = float(np.sum(n * np.abs(c) ** 2))
+        mean_a = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
+        k = np.arange(c.size - 2)  # empty below three levels, so <a^2> = 0
+        mean_a2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((k + 1.0) * (k + 2.0)) * c[2:]))
+        return mean_a, mean_n, mean_a2
 
 
 def from_amplitudes(amplitudes, tail_mass: float = 0.0) -> FockVector:
@@ -402,17 +408,6 @@ def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
     # Cauchy-Schwarz bound on the truncated mass of the unnormalized sum
     tail = (math.sqrt(a.tail_mass) + math.sqrt(b.tail_mass)) ** 2 / nrm**2
     return FockVector(combined / nrm, tail_mass=tail)
-
-
-def _ladder_expectations(state: FockVector) -> tuple[complex, float, complex]:
-    """(<a>, <n>, <a^2>) via tridiagonal ladder action."""
-    c = state.amplitudes
-    n = np.arange(c.size)
-    mean_n = float(np.sum(n * np.abs(c) ** 2))
-    mean_a = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
-    k = np.arange(c.size - 2)  # empty below three levels, so <a^2> = 0
-    mean_a2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((k + 1.0) * (k + 2.0)) * c[2:]))
-    return mean_a, mean_n, mean_a2
 
 
 def moments(state: FockVector) -> Moments:

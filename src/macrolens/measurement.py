@@ -41,10 +41,6 @@ _BLUR_REANCHOR = 16
 # Levels of a Hermite table held at once (2 MB on 2048 points), whatever the
 # cutoff: frame_pdfs and wigner multiply one block of levels at a time.
 _HERMITE_BLOCK = 128
-# |x| below which the Hermite recurrence never needs rescaling: it carries
-# psi_n(x) e^{x^2/2}, and Cramer's bound |psi_n| <= 0.816 keeps that below
-# 1e120 there
-_UNSCALED_REACH = 23.5
 # Largest array wigner may allocate: Hermite-block cells on its sampling grid,
 # or (x point, y step) pairs of its Fourier integral.
 _MAX_WIGNER_CELLS = 2**24
@@ -193,9 +189,7 @@ def _hermite_blocks(xs: np.ndarray, n_max: int):
     cur = np.full_like(xs, math.pi ** -0.25)
     factor = np.exp(gauss_log)  # changes only when a rescale fires
     rescale = 120.0 * math.log(10.0)
-    scan = np.abs(xs).max(initial=0.0) >= _UNSCALED_REACH  # else no rescale can fire
-    if scan:
-        expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
+    expo = np.zeros_like(xs)  # log of the factor pulled out of the recurrence
     for start in range(0, n_max + 1, _HERMITE_BLOCK):
         levels = range(start, min(start + _HERMITE_BLOCK, n_max + 1))
         out = np.empty((len(levels), xs.size))
@@ -203,7 +197,7 @@ def _hermite_blocks(xs: np.ndarray, n_max: int):
             if n:
                 nxt = math.sqrt(2.0 / n) * xs * cur - math.sqrt((n - 1) / n) * prev
                 prev, cur = cur, nxt
-                while scan and (big := np.abs(cur) > 1e120).any():
+                while (big := np.abs(cur) > 1e120).any():
                     prev[big] *= 1e-120
                     cur[big] *= 1e-120
                     expo[big] += rescale
@@ -506,11 +500,11 @@ class WignerField:
     values: np.ndarray  # shape (len(xs), len(ps))
 
     def integral(self) -> float:
-        return float(np.trapezoid(self.marginal_x(), x=self.xs))
+        return float(row_integrals(self.marginal_x(), (self.xs[0], self.xs[-1], self.xs.size)))
 
     def marginal_x(self) -> np.ndarray:
         """Integrate out p; equals the phi=0 homodyne PDF on self.xs."""
-        return np.trapezoid(self.values, x=self.ps, axis=1)
+        return row_integrals(self.values, (self.ps[0], self.ps[-1], self.ps.size))
 
 
 def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:

@@ -152,6 +152,33 @@ class TestPsv:
         for b in psv(2.5, 3).branch_set.branches:
             assert 1e-14 < b.tail_mass < 1e-12
 
+    @pytest.mark.parametrize("m", (1, 2, 5, 40))
+    @pytest.mark.parametrize("r", (0.05, 1.0, 2.5))
+    def test_cores_are_the_walk_of_a_dense_power(self, r, m):
+        # A = cosh r a + sinh r a^dag on m + 3 levels: A^k |0> for k <= m + 1
+        # never reaches the last level, so the dense power is exact
+        a = np.diag(np.sqrt(np.arange(1.0, m + 3)), 1)
+        walk = math.cosh(r) * a + math.sinh(r) * a.T
+        for k, (core, _) in zip((m, m + 1), catalog._cores(r, m)):
+            expected = np.linalg.matrix_power(walk, k)[:, 0]
+            assert not expected[k + 1:].any()
+            expected = expected[:k + 1] / np.linalg.norm(expected)
+            assert core.cutoff == k + 1
+            assert np.max(np.abs(core.amplitudes - expected)) <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", (1, 2, 5, 40))
+    @pytest.mark.parametrize("r", (0.05, 1.0, 2.5))
+    def test_photons_of_each_core_from_its_moments(self, r, m):
+        # S^dag a S = cosh r a + sinh r a^dag gives <n> of S core as
+        # c^2 <n> + s^2 (<n> + 1) + 2 c s Re<a^2> of the core; it is N too,
+        # as <a> vanishes on a core of one photon-number parity
+        c, s = math.cosh(r), math.sinh(r)
+        for core, n in catalog._cores(r, m):
+            mean_a, mean_n, mean_a2 = core._ladder
+            assert mean_a == 0.0
+            expected = c * c * mean_n + s * s * (mean_n + 1.0) + 2.0 * c * s * mean_a2.real
+            assert n == pytest.approx(expected, rel=1e-14, abs=0.0)
+
 
 class TestDfs:
     def test_plus_is_coherent(self):

@@ -903,6 +903,20 @@ class TestQuantumBounds:
         assert d_kd(branch_set, blurred) <= d_kd(branch_set, sharp) + 1e-12
         assert both_measures(branch_set, blurred)[1] <= both_measures(branch_set, sharp)[1] + 1e-12
 
+    # The case hypothesis shrinks the test above to when it fails, which it
+    # does in a few runs of a fresh example database: D_KD rises by 2.7e-11.
+    # default_homodyne_grid widens the sharp grid by 6 sigma on each side, so
+    # its step changes with sigma, while on a 0.088 step the kernel of
+    # sigma = 0.01 puts e^-38.7 on its neighbours and smooths nothing.  A
+    # grid sized without sigma (ROADMAP item 12) mends it.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the sharp homodyne grid moves with sigma (ROADMAP item 12)")
+    def test_d_kd_does_not_grow_with_faint_blur_of_wide_psv(self):
+        branch_set = psv(2.5, 1).branch_set
+        sharp, blurred = (DetectorModel.homodyne(0.0, sigma) for sigma in (0.0, 0.01))
+        assert d_kd(branch_set, blurred) <= d_kd(branch_set, sharp) + 1e-12
+        assert both_measures(branch_set, blurred)[1] <= both_measures(branch_set, sharp)[1] + 1e-12
+
     @given(branch_set=_BRANCH_SETS, kind=_KINDS, angle=_ANGLES, sigma=_SIGMAS)
     @settings(max_examples=40, deadline=None)
     def test_d_kd_below_its_fuchs_van_de_graaf_bound(self, branch_set, kind, angle, sigma):

@@ -1,14 +1,17 @@
 """Printed D cells held to exact values (see exact.py).
 
-Every cell of figures 2, 4, 5 and 8 and of the benchmark's photon-counting
-sweep that a closed form covers is compared, as printed, with that closed
-form.  Each column's bound is the worst relative error that its printed
-cells carry today, rounded up at two significant digits: the trapezoid
-grids' discretisation error.  A change that moves a cell further from the
-exact value fails here; one that moves it closer passes and may tighten
-the bound.
+Every cell of figures 2, 4, 5, 7 and 8 and of the benchmark's
+photon-counting sweep that exact.py covers is compared, as printed, with
+its exact value.  Each column's bound is the worst relative error that its
+printed cells carry today, rounded up at two significant digits: the
+trapezoid grids' discretisation error.  A change that moves a cell further
+from the exact value fails here; one that moves it closer passes and may
+tighten the bound.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import exact
@@ -91,6 +94,41 @@ def test_figure8_shared_counts_kd_is_zero(figure8):
              if row["detector"] == "pnrd" and row["family"] in exact.SHARED_COUNTS_KD]
     assert len(cells) == 168  # 2 families x 21 values x 2 sigmas x 2 signs
     assert all(float(cell) == exact.SHARED_COUNTS_KD[family] for family, cell in cells)
+
+
+def test_figure7_blurred_dfs_counts():
+    rows = printed(run_figure(7))
+    columns = [name for name in rows[0] if name.startswith("d_kd_pnrd_alpha_")]
+    pairs = [(row[name], exact.dfs_counts_kd(float(name.rsplit("_", 1)[1]), float(row["sigma"])))
+             for row in rows for name in columns]
+    assert len(pairs) == 63
+    assert worst_relative(pairs) < 2.8e-4  # 2.764e-4 at alpha = 0.5, sigma = 1.4
+
+
+@pytest.mark.parametrize("sigma, bound", [(0.0, 8.5e-13), (2.0, 2.0e-4)])
+def test_figure8_dfs_counts(figure8, sigma, bound):
+    pairs = [(row["d_kd"], exact.dfs_counts_kd(float(row["param"]), sigma)) for row in figure8
+             if (row["family"], row["detector"], float(row["sigma"])) == ("dfs", "pnrd", sigma)]
+    assert len(pairs) == 42
+    assert worst_relative(pairs) < bound
+
+
+@pytest.mark.parametrize("alpha, sigma", [(0.5, 1.4), (0.1, 2.0), (2.0, 0.2), (1.0, 4.0)])
+def test_blurred_counts_oracle_does_not_move_with_its_scan(alpha, sigma):
+    p, q = exact.dfs_count_rows(alpha)
+    coarse = exact.blurred_counts_kd(p, q, sigma)
+    assert abs(exact.blurred_counts_kd(p, q, sigma, scan_step=sigma / 128.0) - coarse) <= 1e-12
+
+
+def test_blurred_counts_oracle_matches_a_fine_trapezoid():
+    # on the oracle's scan range, 400 001 points still leave 1.7e-10 of the
+    # error that |f|'s kinks give the trapezoid rule; 800 001 leave 8e-12
+    alpha, sigma = 0.5, 1.4
+    p, q = exact.dfs_count_rows(alpha)
+    xs = np.linspace(-14.0 * sigma, p.size - 1 + 14.0 * sigma, 800_001)
+    f = sum(d * np.exp(-0.5 * ((xs - n) / sigma) ** 2) for n, d in enumerate(p - q))
+    kd = 0.5 * np.trapezoid(np.abs(f), xs) / (sigma * math.sqrt(2.0 * math.pi))
+    assert abs(kd - exact.dfs_counts_kd(alpha, sigma)) <= 1e-10
 
 
 def test_sweep_kd_is_zero():

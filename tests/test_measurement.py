@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import resource
@@ -139,36 +138,6 @@ class TestHermiteFunctions:
         assert peak < 8e6
         expected = homodyne_pdf(fock_state(1, 2), 0.0, (-8.0, 8.0, 2048)).values
         assert np.max(np.abs(row - expected)) < 1e-14
-
-
-def hermite_tables_equal(monkeypatch, xs, n_max, reach) -> bool:
-    """Whether _hermite_blocks gives the same bits as it does with its scan
-    threshold set to `reach`, compared one block of levels at a time."""
-    default = measurement._hermite_blocks(xs, n_max)
-    first = next(default)  # the generator decides on its scan when it starts
-    monkeypatch.setattr(measurement, "_UNSCALED_REACH", reach)
-    other = measurement._hermite_blocks(xs, n_max)
-    with np.errstate(all="ignore"):
-        return all(
-            np.array_equal(a, b)
-            for (_, a), (_, b) in zip(itertools.chain([first], default), other, strict=True)
-        )
-
-
-class TestHermiteScan:
-    """The overflow scan runs only on grids that reach |x| = 23.5."""
-
-    def test_skipped_scan_changes_no_bit(self, monkeypatch):
-        # psv's largest basis (r = 2.5) on |x| <= 20: a scan at every level
-        # never fires there
-        xs = np.linspace(-20.0, 20.0, 2048)
-        assert hermite_tables_equal(monkeypatch, xs, 2968, 0.0)
-
-    def test_wide_grid_still_rescales(self, monkeypatch):
-        xs = np.linspace(-40.0, 40.0, 2048)
-        assert hermite_tables_equal(monkeypatch, xs, 2968, 0.0)
-        # without the scan the recurrence overflows there
-        assert not hermite_tables_equal(monkeypatch, xs, 2968, math.inf)
 
 
 class TestFramePdfs:
