@@ -36,13 +36,6 @@ class GridCoverageError(InvalidArgumentError):
     code = "grid-coverage-error"
 
 
-class UsePmfDirectly(MacrolensError):
-    """Blurring a discrete distribution with sigma = 0 is a no-op; the
-    caller should keep working with the Pmf itself."""
-
-    code = "use-pmf-directly"
-
-
 class UnsupportedMixedStateError(MacrolensError):
     """The fluctuation-photon measure is only defined for pure states."""
 

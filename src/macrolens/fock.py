@@ -105,8 +105,8 @@ class FockVector:
         amps /= nrm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        if self.tail_mass < 0.0:
-            raise InvalidArgumentError("tail_mass must be >= 0")
+        if not (math.isfinite(self.tail_mass) and self.tail_mass >= 0.0):
+            raise InvalidArgumentError("tail_mass must be finite and >= 0")
 
     @property
     def cutoff(self) -> int:
@@ -412,20 +412,11 @@ def superpose(a: FockVector, b: FockVector, sign: int) -> FockVector:
 
 def moments(state: FockVector) -> Moments:
     """First/second quadrature moments and photon number of a pure state."""
-    mean_a, mean_n, mean_a2 = state._ladder
-    mean_x = math.sqrt(2.0) * mean_a.real
-    mean_p = math.sqrt(2.0) * mean_a.imag
-    # x^2 = (a^2 + a^dag^2 + 2n + 1)/2, p^2 = (-a^2 - a^dag^2 + 2n + 1)/2
-    x2 = mean_a2.real + mean_n + 0.5
-    p2 = -mean_a2.real + mean_n + 0.5
-    return Moments(
-        mean_a=mean_a,
-        mean_n=mean_n,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=x2 - mean_x**2,
-        var_p=p2 - mean_p**2,
-    )
+    mean_a, mean_n, _ = state._ladder
+    mean_x, var_x = quadrature_stats(state, 0.0)
+    mean_p, var_p = quadrature_stats(state, math.pi / 2)
+    return Moments(mean_a=mean_a, mean_n=mean_n, mean_x=mean_x, mean_p=mean_p,
+                   var_x=var_x, var_p=var_p)
 
 
 def quadrature_stats(state: FockVector, angle: float) -> tuple[float, float]:

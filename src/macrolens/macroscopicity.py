@@ -11,6 +11,7 @@ branches apart with a given detector: M = N * D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distinguishability import both_measures
@@ -38,23 +39,18 @@ def n_fluct(state: FockVector) -> float:
     Mixed states are rejected: for them the quadrature variances blend
     quantum and classical statistics and the measure is not defined here.
     """
-    return photon_numbers(state)[0]
-
-
-def photon_numbers(state: FockVector) -> tuple[float, float]:
-    """(N, <n>) of a pure state from one moments evaluation (see n_fluct)."""
     if isinstance(state, Ensemble):
         raise UnsupportedMixedStateError(
             "fluctuation photon number is only defined for pure states"
         )
     mom = moments(state)
-    return max(0.0, mom.mean_n - abs(mom.mean_a) ** 2), mom.mean_n
+    return max(0.0, mom.mean_n - abs(mom.mean_a) ** 2)
 
 
 def m_subjective(superposition_n: float, distinguishability: float) -> float:
     """Effective fluctuation photon number M = N * D."""
-    if superposition_n < 0.0:
-        raise InvalidArgumentError("fluctuation photon number must be >= 0")
+    if not (math.isfinite(superposition_n) and superposition_n >= 0.0):
+        raise InvalidArgumentError("fluctuation photon number must be finite and >= 0")
     if not 0.0 <= distinguishability <= 1.0:
         raise InvalidArgumentError(
             f"distinguishability {distinguishability} outside [0, 1]"

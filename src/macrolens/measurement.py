@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridCoverageError,
-    InvalidArgumentError,
-    UnsupportedRangeError,
-    UsePmfDirectly,
-)
+from .errors import GridCoverageError, InvalidArgumentError, UnsupportedRangeError
 from .fock import Ensemble, FockVector, quadrature_stats
 
 HOMODYNE = "homodyne"
@@ -230,13 +225,13 @@ def _waves(amplitudes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_n a_kn psi_n(xs) for each row k of an amplitude table: one Hermite
     recurrence and one real matrix product per block of levels, of the real
     rows stacked over the imaginary ones.  A table with no imaginary part
-    gives real rows, from its real rows alone; one row is multiplied with a
-    zero row under it, since BLAS rounds a one-row product (gemv) otherwise
-    than a table (gemm)."""
+    gives real rows, from its real rows alone; one real row is multiplied
+    with its zero imaginary row under it, since BLAS rounds a one-row
+    product (gemv) otherwise than a table (gemm)."""
     b = amplitudes.shape[0]
     real = not amplitudes.imag.any()
-    if real:
-        coefficients = amplitudes.real if b > 1 else np.pad(amplitudes.real, ((0, 1), (0, 0)))
+    if real and b > 1:
+        coefficients = amplitudes.real
     else:
         coefficients = np.concatenate([amplitudes.real, amplitudes.imag])
     out = np.zeros((coefficients.shape[0], xs.size))
@@ -405,18 +400,19 @@ def blur_pdf(pdf: Pdf, sigma: float) -> Pdf:
     return Pdf(*grid, rows[0]) if sigma > 0.0 else pdf
 
 
-def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
+def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple | None]:
     """Photon-count rows read out with Gaussian noise: mixtures of width-sigma
     Gaussians centered on the integer outcomes, as density rows on one grid
     over the photon number in [-6 sigma, top + 6 sigma], top being the
-    largest significant outcome of any row; returns (rows, grid).  Each
+    largest significant outcome of any row; returns (rows, grid).  Sigma 0
+    blurs nothing: it returns the rows themselves and grid None.  Each
     distinct row is summed once; a row equal to an earlier one, bit for bit,
     gets a copy of that row's sums."""
     _require_rows(rows)
     if sigma < 0.0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be finite and >= 0")
     if sigma == 0.0:
-        raise UsePmfDirectly("sigma = 0: keep using the discrete Pmf")
+        return rows, None
     # css and psv branches share their counts, so a table is often one row
     # twice.  Only exact equality merges rows: twins blur to the same bits.
     keys = {}
@@ -485,10 +481,11 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple]:
     return values[twin], (lo, hi, n_points)
 
 
-def blur_pmf(pmf: Pmf, sigma: float) -> Pdf:
-    """One Pmf read out with Gaussian noise of width sigma (see blur_pmfs)."""
+def blur_pmf(pmf: Pmf, sigma: float) -> Pdf | Pmf:
+    """One Pmf read out with Gaussian noise of width sigma (see blur_pmfs);
+    sigma 0 returns the Pmf itself, as blur_pdf returns its Pdf."""
     rows, grid = blur_pmfs(pmf.probabilities[None], sigma)
-    return Pdf(*grid, rows[0])
+    return Pdf(*grid, rows[0]) if sigma > 0.0 else pmf
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact distinguishabilities of catalog points, for holding printed tables to.
 
-Each value is a closed form, or a sum of normal CDFs between polished
-roots, evaluated with math, numpy and scipy alone: nothing here integrates
-an outcome distribution on a grid, so it shares no code with the package's
-route from a state to D.
+Each value is a closed form, a sum of normal CDFs between polished roots,
+or an adaptive quadrature, evaluated with math, numpy and scipy alone:
+nothing here integrates an outcome distribution on a fixed grid, so it
+shares no code with the package's route from a state to D.
 
 - css homodyne at phi = 0 with blur sigma: the branch rows are the Gaussians
   N(+-sqrt(2) alpha, 1/2 + sigma^2), so D_BC = 1 - exp(-2 alpha^2/(1 + 2 sigma^2))
@@ -20,11 +20,15 @@ route from a state to D.
   f, or beyond the outer ones, the mass of |f| is |sum_n (p_n - q_n)
   [Phi((b - n)/sigma) - Phi((a - n)/sigma)]|, and D_KD is half their sum.
   At sigma = 0, D_KD = sum_n |p_n - q_n| / 2.
+- two photon-count rows with blur sigma > 0: D_BC = 1 - integral sqrt(P Q) of
+  the blurred densities, whose integrand has no kink, by adaptive quadrature
+  (scipy.integrate.quad) on each unit interval between outcomes.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -84,3 +88,22 @@ def blurred_counts_kd(p: np.ndarray, q: np.ndarray, sigma: float,
 def dfs_counts_kd(alpha: float, sigma: float) -> float:
     """D_KD of dfs at ``alpha`` under photon counting with blur sigma."""
     return blurred_counts_kd(*dfs_count_rows(alpha), sigma)
+
+
+def blurred_counts_bc(p: np.ndarray, q: np.ndarray, sigma: float,
+                      epsabs: float = 1e-15, epsrel: float = 1e-13) -> float:
+    """D_BC of two photon-count rows read out with Gaussian noise of width
+    sigma > 0: 1 - integral sqrt(P Q) of the blurred densities P and Q, by
+    scipy.integrate.quad over [-14 sigma, n_max + 14 sigma], one piece per
+    unit interval between outcomes and one beyond each end."""
+    levels = np.arange(p.size)
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+
+    def integrand(x):
+        gauss = norm * np.exp(-0.5 * ((x - levels) / sigma) ** 2)
+        return math.sqrt((gauss @ p) * (gauss @ q))
+
+    edges = [-14.0 * sigma, *levels, p.size - 1 + 14.0 * sigma]
+    pieces = (quad(integrand, a, b, epsabs=epsabs, epsrel=epsrel)[0]
+              for a, b in zip(edges[:-1], edges[1:]))
+    return 1.0 - math.fsum(pieces)

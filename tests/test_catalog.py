@@ -17,6 +17,7 @@ from macrolens import (
     fock_state,
     from_amplitudes,
     moments,
+    n_fluct,
     psv,
     scaled_cutoffs,
 )
@@ -28,7 +29,6 @@ from macrolens.errors import (
     InvalidArgumentError,
     UnsupportedRangeError,
 )
-from macrolens.macroscopicity import photon_numbers
 from macrolens.measurement import pnrd_pmfs
 
 
@@ -241,7 +241,7 @@ class TestFromTheFrame:
         with scaled_cutoffs(2):
             state = make()
             for k, psi in enumerate((state.psi_plus, state.psi_minus)):
-                n, mean_n = photon_numbers(psi)
+                n, mean_n = n_fluct(psi), moments(psi).mean_n
                 assert abs(state.n_fluct[k] - n) <= 1e-12 * max(1.0, n)
                 assert abs(state.mean_n[k] - mean_n) <= 1e-12 * max(1.0, mean_n)
 

@@ -584,10 +584,12 @@ def _package_path() -> str:
 
 
 class TestImports:
-    def test_cli_does_not_import_scipy(self):
+    # scipy is a test oracle only, and the package logs nothing
+    @pytest.mark.parametrize("module", ["scipy", "logging"])
+    def test_cli_does_not_import(self, module):
         code = (
             "import sys, macrolens.cli;"
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+            f"print([m for m in sys.modules if m.split('.')[0] == {module!r}])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,

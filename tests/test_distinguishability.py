@@ -124,6 +124,12 @@ class TestBranchSet:
         with pytest.raises(InvalidArgumentError):
             BranchSet(np.array([1.0, 1.0]), (fock_state(0, 4), fock_state(1, 4)))
 
+    @pytest.mark.parametrize("coefficients", [[math.nan, math.nan], [math.nan, 1.0]])
+    def test_non_finite_coefficients_rejected(self, coefficients):
+        # sum |c_k|^2 is NaN, and a NaN fails no plain > comparison
+        with pytest.raises(InvalidArgumentError, match="expected 1"):
+            BranchSet(np.array(coefficients), (fock_state(0, 4), fock_state(1, 4)))
+
     @pytest.mark.parametrize("coefficients", [[1.0, 0.0], [1.0, 1e-200]])
     def test_one_branch_of_nonzero_weight_rejected(self, coefficients):
         # 1e-200 squares to a weight of 0: no complement is left to compare with
@@ -225,6 +231,13 @@ class TestDistanceFunctionals:
         # every comparison with NaN is false, so a plain clamp would give 0
         with pytest.raises(MacrolensError):
             _clamp01(float("nan"), "d_kd")
+
+    @pytest.mark.parametrize("value, clamped", [(-1e-6, 0.0), (1.0 + 1e-6, 1.0)])
+    def test_clamp_is_silent(self, caplog, capfd, value, clamped):
+        # checked_rows' mass check is the gate on D: a clamp logs and prints nothing
+        assert _clamp01(value, "d_bc") == clamped
+        assert not caplog.records
+        assert capfd.readouterr() == ("", "")
 
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
     @settings(max_examples=30, deadline=None)

@@ -1,21 +1,33 @@
 """Printed D cells held to exact values (see exact.py).
 
-Every cell of figures 2, 4, 5, 7 and 8 and of the benchmark's
-photon-counting sweep that exact.py covers is compared, as printed, with
-its exact value.  Each column's bound is the worst relative error that its
-printed cells carry today, rounded up at two significant digits: the
-trapezoid grids' discretisation error.  A change that moves a cell further
-from the exact value fails here; one that moves it closer passes and may
-tighten the bound.
+Every cell of figures 2, 4, 5, 7 and 8, of the benchmark's photon-counting
+sweep, and of the blurred photon-counting points in round 0 of the
+benchmark's points stream for seeds 0-9, that exact.py covers is compared,
+as printed, with its exact value.  Each column's bound is the worst error
+that its printed cells carry today, rounded up at two significant digits:
+relative, or absolute where the exact value is 0.  It is the grids'
+discretisation error.  A change that moves a cell further from the exact
+value fails here; one that moves it closer passes and may tighten the
+bound.
 """
 
+import contextlib
+import importlib.util
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import exact
+from macrolens.cli import main
 from macrolens.figures import parse_sweep_config, run_figure, sweep
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 # the photon-counting sweep of the benchmark's pnrd-sweep workload
 SWEEP_CONFIG = ("family = psv\nstart = 0.5\nstop = 2.5\nsteps = 5\n"
@@ -24,7 +36,12 @@ SWEEP_CONFIG = ("family = psv\nstart = 0.5\nstop = 2.5\nsteps = 5\n"
 
 def printed(table) -> list[dict]:
     """The table's rows as rendered in its CSV, one {column: cell text} each."""
-    lines = [line for line in table.to_csv().splitlines() if not line.startswith("#")]
+    return printed_csv(table.to_csv())
+
+
+def printed_csv(text: str) -> list[dict]:
+    """The rows of a CSV table as printed, one {column: cell text} each."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
     columns = lines[0].split(",")
     return [dict(zip(columns, line.split(","))) for line in lines[1:]]
 
@@ -131,7 +148,80 @@ def test_blurred_counts_oracle_matches_a_fine_trapezoid():
     assert abs(kd - exact.dfs_counts_kd(alpha, sigma)) <= 1e-10
 
 
-def test_sweep_kd_is_zero():
-    rows = printed(sweep(parse_sweep_config(SWEEP_CONFIG)))
-    assert len(rows) == 15
-    assert all(float(row["d_kd"]) == exact.SHARED_COUNTS_KD["psv"] for row in rows)
+@pytest.fixture(scope="module")
+def sweep_rows():
+    return printed(sweep(parse_sweep_config(SWEEP_CONFIG)))
+
+
+def test_sweep_kd_is_zero(sweep_rows):
+    assert len(sweep_rows) == 15
+    assert all(float(row["d_kd"]) == exact.SHARED_COUNTS_KD["psv"] for row in sweep_rows)
+
+
+def test_sweep_bc_is_near_zero(sweep_rows):
+    # the branches share one count row, so D_BC is 0 exactly; the blur
+    # grid's quadrature leaves up to 2.37e-10
+    assert len(sweep_rows) == 15
+    assert max(abs(float(row["d_bc"])) for row in sweep_rows) < 2.4e-10
+
+
+@pytest.fixture(scope="module")
+def blurred_count_points():
+    """(options, printed row) of each photon-counting point at sigma > 0 in
+    round 0 of the benchmark's points stream, seeds 0-9."""
+    points = []
+    for seed in range(10):
+        for argv in next(workloads.point_rounds(seed)):
+            options = workloads.point_options(argv)
+            if options["--detector"] != "pnrd" or float(options["--sigma"]) == 0.0:
+                continue
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv) == 0
+            (row,) = printed_csv(stdout.getvalue())
+            points.append((options, row))
+    return points
+
+
+def test_points_blurred_dfs_counts(blurred_count_points):
+    pairs = [(row, exact.dfs_count_rows(float(options["--alpha"])), float(options["--sigma"]))
+             for options, row in blurred_count_points if options["--family"] == "dfs"]
+    assert len(pairs) == 30
+    bc = [(row["d_bc"], exact.blurred_counts_bc(p, q, sigma)) for row, (p, q), sigma in pairs]
+    kd = [(row["d_kd"], exact.blurred_counts_kd(p, q, sigma)) for row, (p, q), sigma in pairs]
+    assert worst_relative(bc) < 1.7e-7  # 1.668e-7 at alpha = 0.1595, sigma = 2
+    assert worst_relative(kd) < 1.8e-4  # 1.726e-4 at alpha = 0.783, sigma = 1
+
+
+@pytest.mark.parametrize("family, count, bc_floor", [("css", 30, 2.9e-10), ("psv", 60, 5.0e-10)])
+def test_points_shared_counts(blurred_count_points, family, count, bc_floor):
+    # the branches share one count row, so D_BC and D_KD are 0 exactly
+    rows = [row for options, row in blurred_count_points if options["--family"] == family]
+    assert len(rows) == count
+    assert all(float(row["d_kd"]) == exact.SHARED_COUNTS_KD[family] for row in rows)
+    assert max(abs(float(row["d_bc"])) for row in rows) < bc_floor
+
+
+BC_ORACLE_CASES = [(0.1595, 2.0), (0.783, 1.0), (3.9, 0.5), (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("alpha, sigma", BC_ORACLE_CASES)
+def test_blurred_counts_bc_oracle_does_not_move_when_tightened(alpha, sigma):
+    p, q = exact.dfs_count_rows(alpha)
+    tight = exact.blurred_counts_bc(p, q, sigma, epsabs=1e-16)
+    assert abs(tight - exact.blurred_counts_bc(p, q, sigma)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, sigma", BC_ORACLE_CASES)
+def test_blurred_counts_bc_oracle_matches_a_fine_trapezoid(alpha, sigma):
+    # sqrt(P Q) has no kink, so the trapezoid converges fast; P and Q are
+    # summed one outcome at a time to hold two rows of the grid, not a table
+    p, q = exact.dfs_count_rows(alpha)
+    xs = np.linspace(-14.0 * sigma, p.size - 1 + 14.0 * sigma, 400_001)
+    big_p, big_q = np.zeros_like(xs), np.zeros_like(xs)
+    for n, (p_n, q_n) in enumerate(zip(p, q)):
+        gauss = np.exp(-0.5 * ((xs - n) / sigma) ** 2)
+        big_p += p_n * gauss
+        big_q += q_n * gauss
+    bc = 1.0 - np.trapezoid(np.sqrt(big_p * big_q), xs) / (sigma * math.sqrt(2.0 * math.pi))
+    assert abs(bc - exact.blurred_counts_bc(p, q, sigma)) <= 1e-12

@@ -377,6 +377,11 @@ class TestPadAndTypes:
         with pytest.raises(InvalidArgumentError):
             pad_to_cutoff(fock_state(1, 10), 5)
 
+    @pytest.mark.parametrize("tail_mass", [math.nan, math.inf, -1e-3])
+    def test_tail_mass_must_be_finite_and_non_negative(self, tail_mass):
+        with pytest.raises(InvalidArgumentError, match="tail_mass"):
+            FockVector(np.array([1.0 + 0j]), tail_mass=tail_mass)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidArgumentError):
             FockVector(np.array([1.0, 1.0], dtype=complex))

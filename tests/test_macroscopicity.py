@@ -73,6 +73,11 @@ class TestMSubjective:
         with pytest.raises(InvalidArgumentError):
             m_subjective(1.0, 1.5)
 
+    @pytest.mark.parametrize("superposition_n", [math.nan, math.inf])
+    def test_non_finite_n_rejected(self, superposition_n):
+        with pytest.raises(InvalidArgumentError, match="fluctuation photon number"):
+            m_subjective(superposition_n, 0.5)
+
 
 class TestReport:
     def test_css_fields(self):

@@ -33,7 +33,6 @@ from macrolens.errors import (
     GridCoverageError,
     InvalidArgumentError,
     UnsupportedRangeError,
-    UsePmfDirectly,
 )
 from macrolens import measurement
 from macrolens.distinguishability import branch_distributions
@@ -261,9 +260,15 @@ class TestBlurPdf:
 
 
 class TestBlurPmf:
-    def test_zero_sigma_signals_caller(self):
-        with pytest.raises(UsePmfDirectly):
-            blur_pmf(Pmf(np.array([1.0])), 0.0)
+    def test_zero_sigma_returns_the_pmf(self):
+        pmf = Pmf(np.array([0.25, 0.75]))
+        assert blur_pmf(pmf, 0.0) is pmf
+
+    def test_zero_sigma_returns_the_rows(self):
+        # the identity blur, as blur_pdfs gives for densities
+        rows = np.array([[0.25, 0.75], [1.0, 0.0]])
+        blurred, grid = blur_pmfs(rows, 0.0)
+        assert blurred is rows and grid is None
 
     def test_single_gaussian(self):
         pdf = blur_pmf(Pmf(np.array([1.0])), 0.5)
