@@ -11,6 +11,7 @@ together with the superpositions psi_pm proportional to |b1> +- |b2>:
 from __future__ import annotations
 
 import math
+from contextvars import copy_context
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -24,7 +25,6 @@ from .errors import InvalidArgumentError, UnsupportedRangeError
 from .fock import (
     FockVector,
     _check_tail_tolerance,
-    _deferred,
     _displaced,
     _displaced_cutoffs,
     _grow_cutoff,
@@ -74,10 +74,14 @@ class TwoBranchState:
 def _two_branch(family: str, params: dict, frame, branches, counts,
                 n_fluct: tuple, mean_n: tuple) -> TwoBranchState:
     """A catalog state whose branches and count rows, functions of no
-    arguments, are evaluated on first read under the cutoff scale in force
-    now."""
+    arguments, are evaluated on first read in a copy of the context in force
+    now: every context variable (the cutoff scale, numpy's errstate) reads as
+    here, so a deferred build runs as an immediate one would.  Each build
+    enters its own copy, as one context cannot be entered twice at once."""
     coeffs = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    branch_set = BranchSet(coeffs, _deferred(branches), frame, _deferred(counts))
+    context = copy_context()
+    branch_set = BranchSet(coeffs, lambda: context.copy().run(branches), frame,
+                           lambda: context.copy().run(counts))
     return TwoBranchState(branch_set, family, params, n_fluct, mean_n)
 
 
@@ -188,19 +192,13 @@ def dfs(alpha: float) -> TwoBranchState:
         raise UnsupportedRangeError(f"dfs requires 0 <= alpha <= 4, got {alpha}")
     tol = _check_tail_tolerance()
     shift = math.sqrt(2.0) * alpha
+    # 4 input levels set where the cutoffs of both branches and count rows start
     return _two_branch(
         "dfs", {"alpha": alpha}, (0.0, _DFS_CORES, (shift, shift)),
-        lambda: tuple(_displaced_branch(core, alpha, tol) for core in _DFS_CORES),
+        lambda: tuple(_displaced(pad_to_cutoff(core, 4), alpha, tol) for core in _DFS_CORES),
         lambda: _displaced_counts(alpha, (1.0, -1.0), 4, tol),
         (0.0, 1.0), (alpha * alpha, alpha * alpha + 1.0),
     )
-
-
-def _displaced_branch(core: FockVector, alpha: float, tol: float) -> FockVector:
-    """D(alpha) core from 4 input levels, which set where its cutoff starts;
-    D(0) is the identity, which keeps them."""
-    padded = pad_to_cutoff(core, 4)
-    return _displaced(padded, alpha, tol) if alpha else padded
 
 
 def _displaced_counts(alpha: float, signs, levels: int, tol: float) -> np.ndarray:
@@ -216,16 +214,13 @@ def _displaced_counts(alpha: float, signs, levels: int, tol: float) -> np.ndarra
         one = root * np.append(0.0, c[:-1]) - alpha * c
         return np.array([(c + s * one) ** 2 / (1.0 + s * s) for s in signs])
 
-    if alpha == 0.0:
-        rows = rows_on(levels)
-    else:
-        start, reach = _displaced_cutoffs(levels, alpha)
+    start, reach = _displaced_cutoffs(levels, alpha)
 
-        def expand(cutoff: int):
-            rows = rows_on(cutoff + reach)
-            return rows[:, :cutoff], float(rows[:, cutoff:].sum(axis=1).max())
+    def expand(cutoff: int):
+        rows = rows_on(cutoff + reach)
+        return rows[:, :cutoff], float(rows[:, cutoff:].sum(axis=1).max())
 
-        rows, _ = _grow_cutoff(expand, start, tol)
+    rows, _ = _grow_cutoff(expand, start, tol)
     return rows / rows.sum(axis=1, keepdims=True)
 
 

@@ -50,18 +50,6 @@ def scaled_cutoffs(factor: int):
         _CUTOFF_SCALE.reset(token)
 
 
-def _deferred(make):
-    """``make``, a function of no arguments, to be called later under the
-    cutoff scale in force now: a deferred build grows the cutoffs that an
-    immediate one would."""
-    scale = _CUTOFF_SCALE.get()
-
-    def call():
-        with scaled_cutoffs(scale):
-            return make()
-    return call
-
-
 def _check_tail_tolerance(tol: float | None = None) -> float:
     """The given tolerance, or when None MACROLENS_TAIL_TOL or the default, range-checked."""
     if tol is None:
@@ -420,7 +408,10 @@ def moments(state: FockVector) -> Moments:
 
 
 def quadrature_stats(state: FockVector, angle: float) -> tuple[float, float]:
-    """Mean and variance of the rotated quadrature x_phi."""
+    """Mean and variance of the rotated quadrature x_phi, phi finite."""
+    if not math.isfinite(angle):
+        raise InvalidArgumentError("angle must be finite")
+    angle = math.fmod(angle, 2.0 * math.pi)  # e^{-2i phi} overflows for a huge phi
     mean_a, mean_n, mean_a2 = state._ladder
     rot = mean_a * np.exp(-1j * angle)
     mean = math.sqrt(2.0) * rot.real

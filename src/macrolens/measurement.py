@@ -515,12 +515,11 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:
     so every x_i +- y_j lies on u and one Hermite table on u gives every psi_k.
 
     Returns W and the masses of its x and p marginals within the window.  The
-    x marginal sum_k w_k |psi_k|^2 is read on u; the p marginal on a p grid of
-    step at most h, from the momentum waves sum_n c_kn (-i)^n psi_n(p) of a
-    second Hermite table, on that grid.  Either step resolves the marginal's
-    frequencies, below 2(reach - 8), so each trapezoid sum is accurate however
-    coarse the grid of W is.  Real amplitudes give real x waves, so W's
-    products are real.
+    x marginal sum_k w_k |psi_k|^2 is read on u; the p marginal, the phi = pi/2
+    homodyne density (frame_pdfs), on a p grid of step at most h.  Either step
+    resolves the marginal's frequencies, below 2(reach - 8), so each trapezoid
+    sum is accurate however coarse the grid of W is.  Real amplitudes give real
+    x waves, so W's products are real.
     """
     weights, states = zip(*components)
     cutoff = max(s.cutoff for s in states)
@@ -539,14 +538,13 @@ def _wigner_table(components, xs: np.ndarray, ps: np.ndarray) -> tuple:
             f" ({n_u + n_p} sample points, {n_y} y steps)"
         )
     step = dx / refine
-    amplitudes = _padded_amplitudes(states)
-    turned = amplitudes * np.array([1.0, -1j, -1.0, 1j])[np.arange(cutoff) % 4]
-    p_fine = np.linspace(ps[0], ps[-1], n_p)
-    waves = _waves(amplitudes, xs[0] + step * np.arange(-margin, n_u - margin))
+    waves = _waves(_padded_amplitudes(states), xs[0] + step * np.arange(-margin, n_u - margin))
     n_window = refine * (xs.size - 1) + 1
     x_density = _density(waves[:, margin:margin + n_window])
     x_mass = np.dot(weights, row_integrals(x_density, (xs[0], xs[-1], n_window)))
-    p_mass = np.dot(weights, row_integrals(_density(_waves(turned, p_fine)), (ps[0], ps[-1], n_p)))
+    p_grid = (ps[0], ps[-1], n_p)
+    p_density = frame_pdfs(0.0, states, (0.0,) * len(states), math.pi / 2, p_grid)
+    p_mass = np.dot(weights, row_integrals(p_density, p_grid))
     centre = margin + refine * np.arange(xs.size)[:, None]
     offset = stride * np.arange(n_y)
     products = sum(

@@ -11,6 +11,17 @@ shares no code with the package's route from a state to D.
 - dfs homodyne at phi = 0, sigma = 0: the rows are (1 +- sqrt(2) y)^2 e^{-y^2}
   / (2 sqrt(pi)) at y = x - sqrt(2) alpha, so D_BC = 1 - sqrt(2/pi) e^{-1/2}
   and D_KD = sqrt(2/pi), whatever alpha.
+- dfs homodyne at phi = 0 with blur sigma: a blur maps e^{-y^2} {1, y, y^2}
+  to e^{-y^2/u} / sqrt(u) {1, y/u, y^2/u^2 + sigma^2/u}, u = 1 + 2 sigma^2, so
+  the blurred rows are e^{-y^2/u} / (2 sqrt(pi u)) [(1 +- sqrt(2) y/u)^2
+  + 2 sigma^2/u].  Their difference is odd with one root, so D_KD =
+  sqrt(2/pi) / sqrt(u); D_BC = 1 - integral sqrt(P Q) by adaptive quadrature.
+- psv homodyne at phi = 0, sigma = 0: the branch waves are S (u +- v)/sqrt(2),
+  with u, v the normalized cores A^k|0> of k = m, m + 1 and A = cosh r a +
+  sinh r a^dag (a dense matrix power).  D does not change when x is
+  rescaled, so S drops out: D_KD = integral |u v| and D_BC = 1 - integral
+  |u^2 - v^2| / 2 over the core waves, by adaptive quadrature between the
+  real roots of u and v, or of u +- v.
 - css and psv photon counting, at any sigma: both branches count photons
   with one row, so D_KD = 0.
 - dfs photon counting with blur sigma: the rows are p, q = (c +- d)^2 / 2
@@ -28,6 +39,7 @@ shares no code with the package's route from a state to D.
 import math
 
 import numpy as np
+from numpy.polynomial import hermite
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr
@@ -44,6 +56,72 @@ def dfs_homodyne_sharp() -> tuple[float, float]:
     """(D_BC, D_KD) of dfs at any alpha under ideal homodyne detection at phi = 0."""
     root = math.sqrt(2.0 / math.pi)
     return 1.0 - root * math.exp(-0.5), root
+
+
+def dfs_homodyne(sigma: float) -> tuple[float, float]:
+    """(D_BC, D_KD) of dfs at any alpha under homodyne detection at phi = 0
+    with blur sigma; D_BC by scipy.integrate.quad on each half line."""
+    u = 1.0 + 2.0 * sigma * sigma
+    floor = 2.0 * sigma * sigma / u
+
+    def integrand(y):
+        gauss = math.exp(-y * y / u) / (2.0 * math.sqrt(math.pi * u))
+        plus, minus = (gauss * ((1.0 + s * math.sqrt(2.0) * y / u) ** 2 + floor) for s in (1, -1))
+        return math.sqrt(plus * minus)
+
+    reach = 14.0 * math.sqrt(u)
+    overlap = math.fsum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                        for a, b in ((-reach, 0.0), (0.0, reach)))
+    return 1.0 - overlap, math.sqrt(2.0 / math.pi) / math.sqrt(u)
+
+
+def psv_cores(r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized cores A^k|0> of k = m and m + 1 on m + 3 levels, with
+    A = cosh r a + sinh r a^dag, by a dense matrix power."""
+    a = np.diag(np.sqrt(np.arange(1.0, m + 3)), 1)
+    step = math.cosh(r) * a + math.sinh(r) * a.T
+    cores = [np.linalg.matrix_power(step, k)[:, 0] for k in (m, m + 1)]
+    return tuple(core / np.linalg.norm(core) for core in cores)
+
+
+def psv_pieces(r: float, m: int) -> list:
+    """The integrands |u v| and |u^2 - v^2| / 2 of the psv core waves, each
+    with its break points: the real roots of u and v, or of u +- v, within
+    [-w, w], w = 12 + sqrt(2 (m + 2)), and w's ends."""
+    levels = np.arange(m + 3)
+    scale = math.pi ** -0.25 / np.sqrt(2.0 ** levels * np.cumprod(np.append(1.0, levels[1:])))
+    u, v = (core * scale for core in psv_cores(r, m))  # Hermite series of the waves
+    reach = 12.0 + math.sqrt(2.0 * (m + 2))
+
+    def breaks(*series):
+        roots = np.concatenate([hermite.hermroots(c) for c in series])
+        real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+        return [-reach, *sorted(x for x in set(real) if -reach < x < reach), reach]
+
+    def waves(y):
+        gauss = math.exp(-0.5 * y * y)
+        return gauss * hermite.hermval(y, u), gauss * hermite.hermval(y, v)
+
+    def kd(y):
+        wu, wv = waves(y)
+        return abs(wu * wv)
+
+    def bc(y):
+        wu, wv = waves(y)
+        return 0.5 * abs(wu * wu - wv * wv)
+
+    return [(kd, breaks(u, v)), (bc, breaks(u + v, u - v))]
+
+
+def psv_homodyne_sharp(r: float, m: int) -> tuple[float, float]:
+    """(D_BC, D_KD) of psv(r, m) under ideal homodyne detection at phi = 0."""
+    (kd, kd_breaks), (bc, bc_breaks) = psv_pieces(r, m)
+
+    def integral(f, edges):
+        return math.fsum(quad(f, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                         for a, b in zip(edges[:-1], edges[1:]))
+
+    return 1.0 - integral(bc, bc_breaks), integral(kd, kd_breaks)
 
 
 # D_KD of photon counting at any sigma, for the families whose branches

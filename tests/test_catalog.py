@@ -263,7 +263,8 @@ class TestFromTheFrame:
         counts = make().branch_set.counts
         assert np.array_equal(counts[0], counts[1])
 
-    @pytest.mark.parametrize("make", [partial(css, 1.5), partial(dfs, 2.0), partial(psv, 1.0, 2)])
+    @pytest.mark.parametrize("make", [partial(css, 1.5), partial(dfs, 2.0), partial(dfs, 0.0),
+                                      partial(psv, 1.0, 2)])
     def test_doubled_cutoffs_lengthen_the_count_rows(self, make):
         # so acceptance criterion 10 still doubles every family's photon counting
         with scaled_cutoffs(2):

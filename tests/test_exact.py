@@ -165,15 +165,14 @@ def test_sweep_bc_is_near_zero(sweep_rows):
     assert max(abs(float(row["d_bc"])) for row in sweep_rows) < 2.4e-10
 
 
-@pytest.fixture(scope="module")
-def blurred_count_points():
-    """(options, printed row) of each photon-counting point at sigma > 0 in
-    round 0 of the benchmark's points stream, seeds 0-9."""
+def round0_points(detector: str) -> list:
+    """(options, printed row) of each point of ``detector`` in round 0 of
+    the benchmark's points stream, seeds 0-9."""
     points = []
     for seed in range(10):
         for argv in next(workloads.point_rounds(seed)):
             options = workloads.point_options(argv)
-            if options["--detector"] != "pnrd" or float(options["--sigma"]) == 0.0:
+            if options["--detector"] != detector:
                 continue
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -181,6 +180,14 @@ def blurred_count_points():
             (row,) = printed_csv(stdout.getvalue())
             points.append((options, row))
     return points
+
+
+@pytest.fixture(scope="module")
+def blurred_count_points():
+    """(options, printed row) of each photon-counting point at sigma > 0 in
+    round 0 of the benchmark's points stream, seeds 0-9."""
+    return [(options, row) for options, row in round0_points("pnrd")
+            if float(options["--sigma"]) != 0.0]
 
 
 def test_points_blurred_dfs_counts(blurred_count_points):
@@ -225,3 +232,89 @@ def test_blurred_counts_bc_oracle_matches_a_fine_trapezoid(alpha, sigma):
         big_q += q_n * gauss
     bc = 1.0 - np.trapezoid(np.sqrt(big_p * big_q), xs) / (sigma * math.sqrt(2.0 * math.pi))
     assert abs(bc - exact.blurred_counts_bc(p, q, sigma)) <= 1e-12
+
+
+def test_dfs_homodyne_oracle_at_zero_sigma_is_the_sharp_one():
+    assert np.abs(np.subtract(exact.dfs_homodyne(0.0), exact.dfs_homodyne_sharp())).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 4.0])
+def test_dfs_homodyne_bc_oracle_matches_a_fine_trapezoid(sigma):
+    # sqrt(P Q) has no kink at sigma > 0, so the trapezoid converges fast
+    u = 1.0 + 2.0 * sigma * sigma
+    ys = np.linspace(-14.0 * math.sqrt(u), 14.0 * math.sqrt(u), 400_001)
+    gauss = np.exp(-ys * ys / u) / (2.0 * math.sqrt(math.pi * u))
+    p, q = (gauss * ((1.0 + s * math.sqrt(2.0) * ys / u) ** 2 + 2.0 * sigma * sigma / u)
+            for s in (1, -1))
+    bc = 1.0 - np.trapezoid(np.sqrt(p * q), ys)
+    assert abs(bc - exact.dfs_homodyne(sigma)[0]) <= 1e-12
+
+
+def test_figure7_blurred_dfs_homodyne():
+    rows = printed(run_figure(7))
+    pairs = [(row[name], exact.dfs_homodyne(float(row["sigma"]))[1])
+             for row in rows for name in row if name.startswith("d_kd_homodyne_alpha_")]
+    assert len(pairs) == 63
+    assert worst_relative(pairs) < 4.3e-6  # 4.220e-6
+
+
+def test_figure8_blurred_dfs_homodyne(figure8):
+    kd = exact.dfs_homodyne(2.0)[1]
+    cells = [row["d_kd"] for row in figure8
+             if (row["family"], row["detector"], float(row["sigma"])) == ("dfs", "homodyne", 2.0)]
+    assert len(cells) == 42
+    assert worst_relative((cell, kd) for cell in cells) < 2.9e-6  # 2.850e-6
+
+
+@pytest.fixture(scope="module")
+def homodyne_points():
+    return round0_points("homodyne")
+
+
+def test_points_blurred_dfs_homodyne(homodyne_points):
+    pairs = [(row, exact.dfs_homodyne(float(options["--sigma"])))
+             for options, row in homodyne_points
+             if options["--family"] == "dfs" and float(options["--sigma"]) > 0.0]
+    assert len(pairs) == 30
+    assert worst_relative((row["d_bc"], bc) for row, (bc, _) in pairs) < 1.6e-8  # 1.599e-8
+    assert worst_relative((row["d_kd"], kd) for row, (_, kd) in pairs) < 4.3e-6  # 4.250e-6
+
+
+@pytest.mark.parametrize("r, m", [(0.05, 1), (1.0, 1), (2.5, 1), (0.5, 2), (2.5, 2)])
+def test_psv_homodyne_oracle_matches_gauss_legendre(r, m):
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+
+    def rule(f, a, b):
+        half = (b - a) / 2.0
+        return half * math.fsum(w * f(half * t + (a + b) / 2.0) for w, t in zip(weights, nodes))
+
+    (kd_f, kd_edges), (bc_f, bc_edges) = exact.psv_pieces(r, m)
+    kd = math.fsum(rule(kd_f, a, b) for a, b in zip(kd_edges[:-1], kd_edges[1:]))
+    bc = 1.0 - math.fsum(rule(bc_f, a, b) for a, b in zip(bc_edges[:-1], bc_edges[1:]))
+    assert np.abs(np.subtract((bc, kd), exact.psv_homodyne_sharp(r, m))).max() <= 1e-12
+
+
+def test_figure3_psv_homodyne():
+    rows = printed(run_figure(3))
+    assert len(rows) == 61
+    exacts = [exact.psv_homodyne_sharp(float(row["r"]), 1) for row in rows]
+    assert worst_relative((row["d_bc"], bc) for row, (bc, _) in zip(rows, exacts)) < 3.8e-6
+    assert worst_relative((row["d_kd"], kd) for row, (_, kd) in zip(rows, exacts)) < 2.4e-6
+
+
+def test_figure8_sharp_psv_homodyne(figure8):
+    pairs = [(row["d_kd"], exact.psv_homodyne_sharp(float(row["param"]), 1)[1]) for row in figure8
+             if (row["family"], row["detector"], float(row["sigma"])) == ("psv", "homodyne", 0.0)]
+    assert len(pairs) == 42
+    assert worst_relative(pairs) < 2.1e-6  # 2.040e-6
+
+
+@pytest.mark.parametrize("m, bc_bound, kd_bound", [(1, 2.9e-6, 2.1e-6), (2, 2.0e-6, 1.9e-6)])
+def test_points_sharp_psv_homodyne(homodyne_points, m, bc_bound, kd_bound):
+    pairs = [(row, exact.psv_homodyne_sharp(float(options["--r"]), m))
+             for options, row in homodyne_points
+             if (options["--family"], options.get("--m"), float(options["--sigma"]))
+             == ("psv", str(m), 0.0)]
+    assert len(pairs) == 10
+    assert worst_relative((row["d_bc"], bc) for row, (bc, _) in pairs) < bc_bound
+    assert worst_relative((row["d_kd"], kd) for row, (_, kd) in pairs) < kd_bound

@@ -362,6 +362,19 @@ class TestMoments:
         assert var0 == pytest.approx(0.5, abs=1e-8)
         assert var90 == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_quadrature_stats_refuse_a_non_finite_angle(self, angle):
+        with pytest.raises(InvalidArgumentError, match="angle"):
+            quadrature_stats(squeezed_vacuum(0.9), angle)
+
+    @pytest.mark.parametrize("angle", [1e308, -1e308])
+    def test_quadrature_stats_reduce_a_huge_angle(self, angle):
+        # e^{-2i phi} overflows at |phi| = 1e308; the quadrature is 2 pi-periodic
+        s = superpose(coherent_state(1.3 + 0.4j), squeezed_vacuum(0.9), 1)
+        stats = quadrature_stats(s, angle)
+        assert all(math.isfinite(v) for v in stats)
+        assert stats == quadrature_stats(s, math.fmod(angle, 2.0 * math.pi))
+
 
 class TestPadAndTypes:
     def test_pad_vacuum(self):
