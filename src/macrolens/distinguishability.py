@@ -29,6 +29,7 @@ from .measurement import (
     blur_pdf,  # unused here but the perfbench/spans.py tracer still wraps it
     blur_pdfs,
     blur_pmf,  # unused here but the perfbench/spans.py tracer still wraps it
+    blur_pmf_layout,
     blur_pmfs,
     checked_rows,
     default_homodyne_grid,
@@ -240,14 +241,26 @@ def d_kd(branch_set: BranchSet, detector: DetectorModel) -> float:
     """Kolmogorov-based distinguishability of the branch mixture:
     both_measures' D_KD.
 
-    Blurred homodyne detection alone, where it pays, reads D_KD by a route
-    of its own: it checks the unblurred table once and blurs its
-    differences P_k - Q_k, not its rows, by one FFT product for the whole
-    table (see measurement.blur_differences), as D_KD reads no square root
-    of a tail.  Two branches blur P_0 - P_1 alone: the other difference is
-    its negation, which blurs to the negated row bit for bit.
+    Two detector settings, where it pays, read D_KD by routes of their own.
+    Photon counting of branches that all share one count row, as css and
+    psv branches do, gives 0.0: equal rows blur to equal rows, so every
+    |P_k - Q_k| is 0.  It still refuses, above _SHARP_PNRD_SIGMA, the
+    widths whose blur grid blur_pmfs refuses (see
+    measurement.blur_pmf_layout).  Blurred homodyne detection checks the
+    unblurred table once and blurs its differences P_k - Q_k, not its rows,
+    by one FFT product for the whole table (see
+    measurement.blur_differences), as D_KD reads no square root of a tail.
+    Two branches blur P_0 - P_1 alone: the other difference is its
+    negation, which blurs to the negated row bit for bit.
     """
-    if detector.kind != HOMODYNE or detector.sigma == 0.0:
+    if detector.kind != HOMODYNE:
+        counts = branch_set.counts
+        if not (counts[1:] == counts[0]).all():
+            return both_measures(branch_set, detector)[1]
+        if detector.sigma > _SHARP_PNRD_SIGMA:
+            blur_pmf_layout(counts[:1], detector.sigma)
+        return 0.0
+    if detector.sigma == 0.0:
         return both_measures(branch_set, detector)[1]
     weights = branch_set.weights
     rows, grid = _homodyne_rows(branch_set, detector)

@@ -7,11 +7,11 @@ whose CSV/JSON rendering a plotting tool can consume directly.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .measurement import PNRD, DetectorModel, wigner
 CONVENTION = "x=(a+adag)/sqrt(2); p=(a-adag)/(i*sqrt(2)); vacuum var=1/2"
 
 ALL_MEASURES = ("n_fluct", "mean_n", "d_bc", "d_kd", "m_bc", "m_kd")
+
+# Rows per run of _runs, so one %-format in ResultTable.to_csv: a chunk's
+# format string and cells stay a few hundred kB however long the table is.
+_CHUNK_ROWS = 4096
 
 # numpy cannot even size a float64 array of about sys.maxsize / 8 entries and
 # raises ValueError; below this bound a grid too large fails as MemoryError
@@ -53,31 +57,51 @@ def _spec(kind: type) -> str:
     return "%.12g"
 
 
+def _runs(rows):
+    """Yield (cell types, row count, cells) for each run of consecutive rows
+    that share one signature of cell types, the cells flat in row order,
+    _CHUNK_ROWS rows at most per run: how ResultTable reads list rows and
+    array rows alike.  Rows of a 2-D array are read as the Python scalars
+    its tolist gives, one run per chunk."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        if isinstance(chunk, np.ndarray):
+            cells = chunk.ravel().tolist()
+            yield tuple(map(type, cells[:chunk.shape[1]])), len(chunk), cells
+        else:
+            for kinds, run in groupby(chunk, key=lambda row: tuple(map(type, row))):
+                run = list(run)
+                yield kinds, len(run), list(chain.from_iterable(run))
+
+
 @dataclass
 class ResultTable:
-    """Rectangular table of results plus an audit metadata block."""
+    """Rectangular table of results plus an audit metadata block.  The rows
+    are a list of rows, or a 2-D numeric array."""
 
     columns: list
-    rows: list
+    rows: list | np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise InvalidArgumentError("table rows must match the column count")
+        if isinstance(self.rows, np.ndarray):
+            ragged = self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns)
+        else:
+            ragged = any(len(row) != len(self.columns) for row in self.rows)
+        if ragged:
+            raise InvalidArgumentError("table rows must match the column count")
 
     def to_csv(self) -> str:
         lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
         lines.append(",".join(self.columns))
-        formats = {}  # the cells' types -> the row's format
-        for row in self.rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join(map(_spec, kinds))
-            lines.append(formats[kinds] % tuple(row))
-        return "\n".join(lines) + "\n"
+        for kinds, count, cells in _runs(self.rows):
+            lines.append("\n".join([",".join(map(_spec, kinds))] * count) % tuple(cells))
+        lines.append("")  # the final newline, without a copy of the whole text
+        return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only here: a CLI process that prints CSV never loads it
+
         def jsonify(v):
             if isinstance(v, str):
                 return v
@@ -85,10 +109,14 @@ class ResultTable:
                 return int(v)
             return float(_fmt(v))  # 12-significant-digit rounding
 
+        rows = []
+        for kinds, count, cells in _runs(self.rows):
+            values = map(jsonify, cells)
+            rows.extend([list(islice(values, len(kinds))) for _ in range(count)])
         doc = {
             "metadata": self.metadata,
             "columns": self.columns,
-            "rows": [[jsonify(v) for v in row] for row in self.rows],
+            "rows": rows,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -309,7 +337,7 @@ def _figure_wigner(steps: int) -> ResultTable:
         np.tile(sup.ps, sup.xs.size),
         sup.values.ravel(),
         mix.values.ravel(),
-    )).tolist()
+    ))
     meta = _base_metadata(
         figure="wigner",
         alpha=alpha,

@@ -418,24 +418,9 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple | None]
     keys = {}
     twin = [keys.setdefault(row.tobytes(), len(keys)) for row in rows]
     rows = rows[[twin.index(k) for k in range(len(keys))]]
-    # a row's support: the outcomes above 1e-16 of its largest probability
-    supports = [np.nonzero(row > row.max() * 1e-16)[0] for row in rows]
-    # The grid covers the effective support only, with a step fixed at
-    # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
-    lo = -6.0 * sigma
-    top = max(int(s[-1]) for s in supports)
-    _check_grid(lo, top + 6.0 * sigma)
+    supports, top, norm, (lo, hi, n_points) = blur_pmf_layout(rows, sigma)
     step = sigma / 16.0
-    if top + 6.0 * sigma - lo > _MAX_BLUR_POINTS * step:
-        raise UnsupportedRangeError(
-            f"sigma = {sigma} needs a grid of more than {_MAX_BLUR_POINTS} points"
-        )
-    n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
-    hi = lo + (n_points - 1) * step
     xs = np.linspace(lo, hi, n_points)
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    if not math.isfinite(norm * norm):  # an overlap multiplies two densities
-        raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
     # Every integer 0..top is an outcome, with weight 0 off a row's support;
     # adding +0.0 changes no bit.
     weights = np.zeros((len(rows), top + 2))
@@ -479,6 +464,32 @@ def blur_pmfs(rows: np.ndarray, sigma: float) -> tuple[np.ndarray, tuple | None]
             index[index >= stop] = top + 1
             block += weights.take(index, axis=1) * gauss
     return values[twin], (lo, hi, n_points)
+
+
+def blur_pmf_layout(rows: np.ndarray, sigma: float) -> tuple:
+    """(supports, top, norm, grid) of photon-count rows blurred by blur_pmfs
+    at width sigma > 0: each row's support, its outcomes above 1e-16 of its
+    largest probability; top, the largest outcome of any support; norm, the
+    peak 1/(sigma sqrt(2 pi)) of each Gaussian; and the grid (lo, hi,
+    n_points).  Refuses, as UnsupportedRangeError, a grid on which x^2
+    overflows, one of more than _MAX_BLUR_POINTS points, and a norm whose
+    square overflows."""
+    supports = [np.nonzero(row > row.max() * 1e-16)[0] for row in rows]
+    # The grid covers the effective support only, with a step fixed at
+    # sigma/16, so padding a Pmf to a larger cutoff keeps its sample points.
+    lo = -6.0 * sigma
+    top = max(int(s[-1]) for s in supports)
+    _check_grid(lo, top + 6.0 * sigma)
+    step = sigma / 16.0
+    if top + 6.0 * sigma - lo > _MAX_BLUR_POINTS * step:
+        raise UnsupportedRangeError(
+            f"sigma = {sigma} needs a grid of more than {_MAX_BLUR_POINTS} points"
+        )
+    n_points = int(math.ceil((top + 6.0 * sigma - lo) / step)) + 1
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    if not math.isfinite(norm * norm):  # an overlap multiplies two densities
+        raise UnsupportedRangeError(f"sigma = {sigma} gives densities whose products overflow")
+    return supports, top, norm, (lo, lo + (n_points - 1) * step, n_points)
 
 
 def blur_pmf(pmf: Pmf, sigma: float) -> Pdf | Pmf:

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -87,9 +88,31 @@ class TestResultTable:
             np.float32(0.1), np.bool_(True), 5e-324,
         ]
         rows = [cells, cells[::-1], [1.5] * len(cells), cells[1:] + ["x"]]
-        table = ResultTable([str(i) for i in range(len(cells))], rows)
-        lines = table.to_csv().splitlines()[1:]
-        assert lines == [",".join(figures._fmt(v) for v in row) for row in rows]
+        # longer than one chunk, with signatures that change inside a chunk,
+        # across a chunk edge and in runs that straddle one
+        long_rows = rows * 1200 + [cells] * 5000 + rows[:3] * 7
+        for table_rows in (rows, long_rows):
+            table = ResultTable([str(i) for i in range(len(cells))], table_rows)
+            lines = table.to_csv().splitlines()[1:]
+            assert lines == [",".join(figures._fmt(v) for v in row) for row in table_rows]
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
+    def test_array_rows_render_as_their_list_rows(self, dtype):
+        # rows longer than one chunk, whose last chunk is a short one
+        values = np.arange(-15000.0, 15000.0).reshape(10000, 3) / 7.0
+        rows = values.astype(dtype)
+        table = ResultTable(["a", "b", "c"], rows, {"k": "v"})
+        as_lists = ResultTable(["a", "b", "c"], rows.tolist(), {"k": "v"})
+        assert table.to_csv() == as_lists.to_csv()
+        assert table.to_json() == as_lists.to_json()
+        assert len(table.rows) == 10000
+        assert table.column("c") == as_lists.column("c")
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 2)), np.zeros(3), np.zeros((3, 3, 1))],
+                             ids=["columns", "1-d", "3-d"])
+    def test_array_shape_checked(self, rows):
+        with pytest.raises(InvalidArgumentError):
+            ResultTable(["a", "b", "c"], rows)
 
     @pytest.mark.parametrize("value", [
         "css", "", 0, 7, -3, 123456789012345, 10**30, True, False, np.int64(-9),
@@ -273,6 +296,31 @@ class TestFigures:
         for n in range(2, 41):
             table = run_figure(1, steps=n)
             assert len(table.rows) == n * n
+
+    @pytest.mark.parametrize("steps", [2, 21, 81])
+    def test_figure1_array_renders_as_list_rows(self, steps):
+        # figure 1 keeps its values as one float array; each cell renders as
+        # the same value in a list row renders under the per-type rules
+        table = run_figure(1, steps=steps)
+        assert isinstance(table.rows, np.ndarray) and table.rows.shape == (steps * steps, 4)
+        rows = table.rows.tolist()
+        lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
+        lines += [",".join(table.columns), *(",".join(map(figures._fmt, row)) for row in rows)]
+        assert table.to_csv() == "\n".join(lines) + "\n"
+        as_lists = ResultTable(table.columns, rows, table.metadata)
+        assert table.to_json() == as_lists.to_json()
+
+    def test_figure1_memory_stays_small(self):
+        # 201 x 201 rows: as Python lists of floats the table and its CSV
+        # took a 15.6 MB peak
+        run_figure(1, steps=5).to_csv()  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            run_figure(1, steps=201).to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_figure1_coarse_steps_exit_zero(self, capsys):
         for n in ("2", "5", "17"):
@@ -584,8 +632,9 @@ def _package_path() -> str:
 
 
 class TestImports:
-    # scipy is a test oracle only, and the package logs nothing
-    @pytest.mark.parametrize("module", ["scipy", "logging"])
+    # scipy is a test oracle only, the package logs nothing, and
+    # json serves ResultTable.to_json only
+    @pytest.mark.parametrize("module", ["scipy", "logging", "json"])
     def test_cli_does_not_import(self, module):
         code = (
             "import sys, macrolens.cli;"

@@ -45,7 +45,7 @@ from macrolens.measurement import (
     pnrd_pmfs,
 )
 from macrolens.catalog import PARAM_NAMES, build
-from macrolens.errors import InvalidArgumentError, MacrolensError
+from macrolens.errors import InvalidArgumentError, MacrolensError, UnsupportedRangeError
 
 
 GAUSSIAN_GRID = (-20.0, 20.0, 4001)
@@ -117,6 +117,20 @@ def recording_hermite(monkeypatch):
 
     monkeypatch.setattr(measurement, "_hermite_blocks", recording)
     return n_maxes
+
+
+def count_blur_pmfs(monkeypatch):
+    """Record the arguments of every blur_pmfs call the measures make."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return blur_pmfs(*args, **kwargs)
+
+    # the one-row view blur_pmf looks blur_pmfs up in measurement
+    monkeypatch.setattr(measurement, "blur_pmfs", counting)
+    monkeypatch.setattr(distinguishability, "blur_pmfs", counting)
+    return calls
 
 
 class TestBranchSet:
@@ -439,15 +453,7 @@ class TestBranchMeasures:
         assert len(n_maxes) == 1
 
     def test_one_blur_table_per_branch_set(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return blur_pmfs(*args, **kwargs)
-
-        # the one-row view blur_pmf looks blur_pmfs up in measurement
-        monkeypatch.setattr(measurement, "blur_pmfs", counting)
-        monkeypatch.setattr(distinguishability, "blur_pmfs", counting)
+        calls = count_blur_pmfs(monkeypatch)
         both_measures(psv(1.0).branch_set, DetectorModel.pnrd(sigma=1.0))
         assert len(calls) == 1
 
@@ -575,6 +581,45 @@ class TestBranchMeasures:
         det = DetectorModel.pnrd(sigma=sigma)
         assert d_kd(branch_set, det) == 0.0
         assert d_bc(branch_set, det) < (1e-9 if sigma else 1e-15)
+
+    @pytest.mark.parametrize("sigma", (0.0, 0.5, 3.0))
+    @pytest.mark.parametrize("make", [
+        lambda: css(1.5).branch_set,
+        lambda: psv(1.0).branch_set,
+        lambda: psv(2.5, m=2).branch_set,
+        lambda: two_coherent_branches(1.5),
+        lambda: BranchSet(np.sqrt([0.5, 0.25, 0.25]), (fock_state(0, 4),) * 3),
+    ], ids=["css", "psv", "psv-2.5-m2", "coherent-1.5", "three-vacua"])
+    def test_shared_count_rows_blur_nothing(self, make, sigma, monkeypatch):
+        # every branch counts photons with one row, so D_KD is 0 without a
+        # blurred grid, bit for bit what both_measures reads off that grid
+        branch_set = make()
+        assert (branch_set.counts == branch_set.counts[0]).all()
+        det = DetectorModel.pnrd(sigma=sigma)
+        calls = count_blur_pmfs(monkeypatch)
+        kd = d_kd(branch_set, det)
+        assert (kd, calls) == (0.0, [])
+        assert math.copysign(1.0, kd) == 1.0
+        assert kd == both_measures(branch_set, det)[1]
+
+    def test_distinct_count_rows_still_blur(self, monkeypatch):
+        calls = count_blur_pmfs(monkeypatch)
+        branch_set, det = dfs(2.0).branch_set, DetectorModel.pnrd(sigma=0.5)
+        kd = d_kd(branch_set, det)
+        assert len(calls) == 1
+        assert kd > 0.1
+        assert kd == both_measures(branch_set, det)[1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: css(1.5).branch_set, lambda: psv(1.0).branch_set, lambda: dfs(2.0).branch_set,
+    ], ids=["css", "psv", "dfs"])
+    def test_shared_count_rows_keep_the_blur_refusals(self, make):
+        # x^2 overflows on the blur grid of sigma = 1e200
+        branch_set, det = make(), DetectorModel.pnrd(sigma=1e200)
+        with pytest.raises(UnsupportedRangeError, match="x\\^2 overflows"):
+            d_kd(branch_set, det)
+        with pytest.raises(UnsupportedRangeError, match="x\\^2 overflows"):
+            both_measures(branch_set, det)
 
     @pytest.mark.parametrize("sigma", (1e-3, 0.5, 4.0, 20.0))
     @pytest.mark.parametrize("angle", (0.0, 0.4, 1.2))

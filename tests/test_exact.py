@@ -1,14 +1,13 @@
 """Printed D cells held to exact values (see exact.py).
 
-Every cell of figures 2, 4, 5, 7 and 8, of the benchmark's photon-counting
-sweep, and of the blurred photon-counting points in round 0 of the
-benchmark's points stream for seeds 0-9, that exact.py covers is compared,
-as printed, with its exact value.  Each column's bound is the worst error
-that its printed cells carry today, rounded up at two significant digits:
-relative, or absolute where the exact value is 0.  It is the grids'
-discretisation error.  A change that moves a cell further from the exact
-value fails here; one that moves it closer passes and may tighten the
-bound.
+Every cell of figures 2-5, 7 and 8, of the benchmark's photon-counting
+sweep, and of the points in round 0 of the benchmark's points stream for
+seeds 0-9, that exact.py covers is compared, as printed, with its exact
+value.  Each column's bound is the worst error that its printed cells carry
+today, rounded up at two significant digits: relative, or absolute where the
+exact value is 0.  It is the grids' discretisation error.  A change that
+moves a cell further from the exact value fails here; one that moves it
+closer passes and may tighten the bound.
 """
 
 import contextlib
@@ -278,6 +277,19 @@ def test_points_blurred_dfs_homodyne(homodyne_points):
     assert len(pairs) == 30
     assert worst_relative((row["d_bc"], bc) for row, (bc, _) in pairs) < 1.6e-8  # 1.599e-8
     assert worst_relative((row["d_kd"], kd) for row, (_, kd) in pairs) < 4.3e-6  # 4.250e-6
+
+
+@pytest.mark.parametrize("blurred, bc_bound, kd_bound", [
+    (True, 6.2e-6, 3.8e-6),  # 6.106e-6 at alpha = 3.612, sigma = 2; 3.713e-6 at 0.1337, 0.5
+    (False, 4.8e-13, 1.8e-6),  # 4.702e-13 at alpha = 0.7026; 1.784e-6 at 0.6013
+], ids=["blurred", "sharp"])
+def test_points_css_homodyne(homodyne_points, blurred, bc_bound, kd_bound):
+    pairs = [(row, exact.css_homodyne(float(options["--alpha"]), float(options["--sigma"])))
+             for options, row in homodyne_points
+             if options["--family"] == "css" and (float(options["--sigma"]) > 0.0) == blurred]
+    assert len(pairs) == (30 if blurred else 10)
+    assert worst_relative((row["d_bc"], bc) for row, (bc, _) in pairs) < bc_bound
+    assert worst_relative((row["d_kd"], kd) for row, (_, kd) in pairs) < kd_bound
 
 
 @pytest.mark.parametrize("r, m", [(0.05, 1), (1.0, 1), (2.5, 1), (0.5, 2), (2.5, 2)])
